@@ -10,8 +10,8 @@ import os
 import sys
 
 from . import io as tio
-from .errors import (NoTangles, NotACover, ParseError, TangletreeError,
-                     TooLarge, VerificationFailed)
+from .errors import (HypothesisFailure, NoTangles, NotACover, ParseError,
+                     TangletreeError, TooLarge, VerificationFailed)
 from .seps import MAX_SYSTEM, MAX_VERTICES, enumerate_separations
 from .tangles import CoverFamily, f_tangles, profile_stand_in_family, regular_profiles
 
@@ -145,8 +145,12 @@ def cmd_blocks(args):
 def cmd_abstract(args):
     from .distinguish import build_efficient_nested_set
     from .trees import NestedSet
-    from .universe import t_tilde_star, theorem_1_3
+    from .universe import require_lattice, t_tilde_star, theorem_1_3
     U = tio.load_universe(args.universe)
+    try:
+        require_lattice(U)
+    except HypothesisFailure as e:
+        raise ParseError(str(e))
     if args.system:
         S = tio.load_abstract_system(args.system, U)
     else:

@@ -16,22 +16,24 @@ from .tangles import (StarFamily, check_star, check_star_family,
 
 
 class UniverseElement:
-    """Element of a table-driven universe; implements the separation protocol."""
+    """Element of a table-driven universe; implements the separation protocol.
 
-    __slots__ = ("universe", "i", "_hash")
+    A universe builds each of its elements once (`Universe._elems`) and
+    then sets their `inv`, so `inv`, `join` and `meet` hand back those
+    objects and allocate nothing.
+    """
+
+    __slots__ = ("universe", "i", "inv", "sort_key", "_hash")
 
     def __init__(self, universe, i):
         self.universe = universe
         self.i = i
+        self.sort_key = (self.order, self.name)
         self._hash = hash((id(universe), i))
 
     @property
     def name(self):
         return self.universe.ids[self.i]
-
-    @property
-    def inv(self):
-        return UniverseElement(self.universe, self.universe._inv[self.i])
 
     @property
     def order(self):
@@ -42,17 +44,21 @@ class UniverseElement:
         if not isinstance(other, UniverseElement) or other.universe is not self.universe:
             raise NotInSystem("elements of different universes")
 
+    # each operation tests the common case inline and leaves the rest to _check
     def leq(self, other):
-        self._check(other)
-        return (self.i, other.i) in self.universe._leq
+        if other.__class__ is not UniverseElement or other.universe is not self.universe:
+            self._check(other)
+        return self.universe._up[self.i] >> other.i & 1 == 1
 
     def join(self, other):
-        self._check(other)
-        return UniverseElement(self.universe, self.universe._join[(self.i, other.i)])
+        if other.__class__ is not UniverseElement or other.universe is not self.universe:
+            self._check(other)
+        return self.universe._join[self.i][other.i]
 
     def meet(self, other):
-        self._check(other)
-        return UniverseElement(self.universe, self.universe._meet[(self.i, other.i)])
+        if other.__class__ is not UniverseElement or other.universe is not self.universe:
+            self._check(other)
+        return self.universe._meet[self.i][other.i]
 
     @property
     def is_small(self):
@@ -66,13 +72,10 @@ class UniverseElement:
     def is_degenerate(self):
         return self.universe._inv[self.i] == self.i
 
-    @property
-    def sort_key(self):
-        return (self.order, self.name)
-
     def __eq__(self, other):
-        return (isinstance(other, UniverseElement)
-                and other.universe is self.universe and other.i == self.i)
+        return self is other or (isinstance(other, UniverseElement)
+                                 and other.universe is self.universe
+                                 and other.i == self.i)
 
     def __hash__(self):
         return self._hash
@@ -91,11 +94,15 @@ class Universe:
         self.backend = backend
         self._elements = sorted(elements, key=lambda x: x.sort_key)
         self._set = frozenset(self._elements)
-        self._distributive = None
+        self._report = None
 
     @classmethod
     def from_tables(cls, ids, leq, inv, meet, join, order=None):
-        """Table-driven universe; validates totality of all tables on load."""
+        """Table-driven universe; validates totality of all tables on load.
+
+        Element i keeps its up-set as the int `_up[i]` (bit j set when
+        i <= j); `_join` and `_meet` are n x n lists of elements.
+        """
         self = cls.__new__(cls)
         self.backend = "table-driven"
         self.ids = list(ids)
@@ -116,10 +123,11 @@ class Universe:
             self._inv[look(a)] = look(b)
         if any(v is None for v in self._inv):
             raise ParseError("involution table is not total")
-        self._leq = {(look(a), look(b)) for a, b in leq}
-        self._leq |= {(i, i) for i in range(n)}
-        self._meet = _total_table(meet, look, n, "meet")
-        self._join = _total_table(join, look, n, "join")
+        self._up = [1 << i for i in range(n)]
+        for a, b in leq:
+            self._up[look(a)] |= 1 << look(b)
+        meet = _total_table(meet, look, n, "meet")
+        join = _total_table(join, look, n, "join")
         if order is None:
             self._order = None
         else:
@@ -127,10 +135,14 @@ class Universe:
                 self._order = [int(order[v]) for v in self.ids]
             except KeyError as e:
                 raise ParseError("order map is not total: missing %r" % (e.args[0],))
-        self._elements = sorted((UniverseElement(self, i) for i in range(n)),
-                                key=lambda x: x.sort_key)
+        elems = self._elems = [UniverseElement(self, i) for i in range(n)]
+        for x in elems:
+            x.inv = elems[self._inv[x.i]]
+        self._meet = [[elems[k] for k in row] for row in meet]
+        self._join = [[elems[k] for k in row] for row in join]
+        self._elements = sorted(elems, key=lambda x: x.sort_key)
         self._set = frozenset(self._elements)
-        self._distributive = None
+        self._report = None
         return self
 
     @classmethod
@@ -167,26 +179,30 @@ class Universe:
     def system(self, members=None, k=None):
         return AbstractSystem(self, self._elements if members is None else members, k=k)
 
+    def report(self):
+        """The `check_universe` report, computed on first use."""
+        if self._report is None:
+            self._report = check_universe(self)
+        return self._report
+
     def is_distributive(self):
-        if self._distributive is None:
-            self._distributive = check_universe(self)["distributive"]
-        return self._distributive
+        return self.report()["distributive"]
 
     def __repr__(self):
         return "Universe(%s, %d elements)" % (self.backend, len(self._elements))
 
 
 def _total_table(tab, look, n, what):
-    out = {}
+    """n x n list of indices; a missing (i, j) entry is read from (j, i)."""
+    out = [[None] * n for _ in range(n)]
     for (a, b), c in tab.items():
-        out[(look(a), look(b))] = look(c)
-    for i in range(n):
+        out[look(a)][look(b)] = look(c)
+    for i, row in enumerate(out):
         for j in range(n):
-            if (i, j) not in out:
-                if (j, i) in out:
-                    out[(i, j)] = out[(j, i)]
-                else:
+            if row[j] is None:
+                if out[j][i] is None:
                     raise ParseError("%s table is not total" % what)
+                row[j] = out[j][i]
     return out
 
 
@@ -218,49 +234,121 @@ class AbstractSystem(SeparationSystem):
 
 
 def check_universe(U):
-    """Exhaustive lattice / involution / distributivity report with witnesses."""
+    """Exhaustive lattice / involution / distributivity report with witnesses.
+
+    The elements are indexed in canonical order and tabulated once, with
+    n^2 calls of leq, join and meet; every axiom then runs on the integer
+    tables, O(n^3), in the same order for every backend.
+    """
     elems = sorted(U, key=lambda x: x.sort_key)
+    n = len(elems)
+    inv, leq, join, meet = _tabulate(elems)
     report = {"lattice": True, "involution_order_reversing": True,
               "distributive": True, "witnesses": {}}
 
-    def flag(key, witness_name, w):
+    def flag(key, witness_name, *w):
         if report[key]:
             report[key] = False
-            report["witnesses"][witness_name] = w
+            w = tuple(elems[i] for i in w)
+            report["witnesses"][witness_name] = w[0] if len(w) == 1 else w
 
-    inside = frozenset(elems)
-    for r in elems:
-        if not r.leq(r):
+    for r in range(n):
+        if not leq[r][r]:
             flag("lattice", "not-reflexive", r)
-        if r.inv.inv != r:
+        if inv[inv[r]] != r:
             flag("involution_order_reversing", "not-involutive", r)
-    for r, s in combinations(elems, 2):
-        if r.leq(s) and s.leq(r):
-            flag("lattice", "not-antisymmetric", (r, s))
-    for r in elems:
-        for s in elems:
-            j, m = r.join(s), r.meet(s)
-            if j not in inside or m not in inside:
-                flag("lattice", "not-closed", (r, s))
+    for r, s in combinations(range(n), 2):
+        if leq[r][s] and leq[s][r]:
+            flag("lattice", "not-antisymmetric", r, s)
+    for r in range(n):
+        for s in range(n):
+            j, m = join[r][s], meet[r][s]
+            if j >= n or m >= n:
+                flag("lattice", "not-closed", r, s)
                 continue
-            if not (r.leq(j) and s.leq(j) and m.leq(r) and m.leq(s)):
-                flag("lattice", "not-a-bound", (r, s))
-            if r.leq(s) and not s.inv.leq(r.inv):
-                flag("involution_order_reversing", "order-reversal", (r, s))
-    for r in elems:
-        for s in elems:
-            for t in elems:
-                if r.leq(s) and s.leq(t) and not r.leq(t):
-                    flag("lattice", "not-transitive", (r, s, t))
-                if r.leq(t) and s.leq(t) and not r.join(s).leq(t):
-                    flag("lattice", "join-not-least", (r, s, t))
-                if t.leq(r) and t.leq(s) and not t.leq(r.meet(s)):
-                    flag("lattice", "meet-not-greatest", (r, s, t))
-                if r.meet(s.join(t)) != r.meet(s).join(r.meet(t)):
-                    flag("distributive", "meet-over-join", (r, s, t))
-                if r.join(s.meet(t)) != r.join(s).meet(r.join(t)):
-                    flag("distributive", "join-over-meet", (r, s, t))
+            if not (leq[r][j] and leq[s][j] and leq[m][r] and leq[m][s]):
+                flag("lattice", "not-a-bound", r, s)
+            if leq[r][s] and not leq[inv[s]][inv[r]]:
+                flag("involution_order_reversing", "order-reversal", r, s)
+    for r in range(n):
+        leq_r, join_r, meet_r = leq[r], join[r], meet[r]
+        for s in range(n):
+            leq_s, join_s, meet_s = leq[s], join[s], meet[s]
+            r_leq_s, rs_meet = leq_r[s], meet_r[s]
+            # rows of r v s and of r ^ s
+            leq_rjs, meet_rjs, join_rms = leq[join_r[s]], meet[join_r[s]], join[rs_meet]
+            for t in range(n):
+                leq_t = leq[t]
+                if r_leq_s and leq_s[t] and not leq_r[t]:
+                    flag("lattice", "not-transitive", r, s, t)
+                if leq_r[t] and leq_s[t] and not leq_rjs[t]:
+                    flag("lattice", "join-not-least", r, s, t)
+                if leq_t[r] and leq_t[s] and not leq_t[rs_meet]:
+                    flag("lattice", "meet-not-greatest", r, s, t)
+                if meet_r[join_s[t]] != join_rms[meet_r[t]]:
+                    flag("distributive", "meet-over-join", r, s, t)
+                if join_r[meet_s[t]] != meet_rjs[join_r[t]]:
+                    flag("distributive", "join-over-meet", r, s, t)
     return report
+
+
+class _Lazy(dict):
+    """Index-keyed table that computes a missing entry with `fill`."""
+
+    def __init__(self, fill, entries=()):
+        super().__init__(entries)
+        self.fill = fill
+
+    def __missing__(self, i):
+        self[i] = v = self.fill(i)
+        return v
+
+
+def _tabulate(elems):
+    """inv, leq, join and meet over `elems` as tables indexed by position.
+
+    An operation's result that is not in `elems` gets the next free index.
+    When none appears the tables are lists; otherwise they are `_Lazy`
+    tables that fill the rows and columns of those outside elements by
+    element calls when the checks first read them.
+    """
+    seen = list(elems)
+    index = {x: i for i, x in enumerate(seen)}
+
+    def intern(x):
+        i = index.get(x)
+        if i is None:
+            i = index[x] = len(seen)
+            seen.append(x)
+        return i
+
+    inv = [intern(x.inv) for x in elems]
+    leq = [[x.leq(y) for y in elems] for x in elems]
+    join = [[intern(x.join(y)) for y in elems] for x in elems]
+    meet = [[intern(x.meet(y)) for y in elems] for x in elems]
+    if len(seen) == len(elems):
+        return inv, leq, join, meet
+
+    def lazy(rows, op):
+        def row(i, known=()):
+            return _Lazy(lambda j: op(seen[i], seen[j]), enumerate(known))
+        return _Lazy(row, ((i, row(i, known)) for i, known in enumerate(rows)))
+
+    return (_Lazy(lambda i: intern(seen[i].inv), enumerate(inv)),
+            lazy(leq, lambda x, y: x.leq(y)),
+            lazy(join, lambda x, y: intern(x.join(y))),
+            lazy(meet, lambda x, y: intern(x.meet(y))))
+
+
+def require_lattice(U):
+    """U's report; HypothesisFailure naming the failed axioms and their
+    witnesses unless U is a lattice with an order-reversing involution."""
+    rep = U.report()
+    failed = [key for key in ("lattice", "involution_order_reversing") if not rep[key]]
+    if failed:
+        raise HypothesisFailure("the universe fails %s: witnesses %r"
+                                % (" and ".join(failed), rep["witnesses"]))
+    return rep
 
 
 def _element_distributive(x):
@@ -377,7 +465,8 @@ def unscramble_pair(r, s, sigma, P):
     floor = r.meet(s.inv)
     cands = [x for x in profile_nested_part(P, sigma)
              if floor.leq(x) and x.leq(r) and closely_related(x, P)[0]]
-    assert r in cands, "r itself must be a candidate for r'"
+    if r not in cands:
+        raise VerificationFailed("r itself is not a candidate for r'")
     mins = [x for x in cands if not any(y.leq(x) and y != x for y in cands)]
     r2 = min(mins, key=lambda x: x.sort_key)
     s2 = s.meet(r2.inv)
@@ -546,23 +635,10 @@ def max_and_closely_related_report(P, cap=20):
 # ------------------------------------------------------- essential refinement
 
 
-def refine_essential_abstract(sigma, P, F, tangles=None, max_expansions=20000,
-                              cap=20):
-    """S-tree refining the essential star sigma up to a maximal star in P.
-
-    The tree lies over F plus the maximal cap star plus the singleton
-    inverses of sigma's members, each of which appears as a leaf separation.
-    """
-    from .refine import family_is_element, refine_inessential
-    from .trees import NestedSet, nodes, to_stree
-    S = P.system
-    sigma = check_star(sigma)
-    if tangles is None:
-        tangles = f_tangles(S, F)
-    ts = list(tangles)
-    owners = [Q for Q in ts if all(s in Q for s in sigma)]
-    if len(owners) != 1 or owners[0] != P:
-        raise HypothesisFailure("sigma must be home to exactly the given tangle")
+def _require_friendly(S, F):
+    """The premises on F of the essential refinement: F is a friendly star
+    family over S and contains every non-degenerate member of T'."""
+    from .refine import family_is_element
     fam = check_star_family(F, S)
     if not (fam["all_stars"] and fam["standard"]
             and fam["contains_inverse_of_smalls"]):
@@ -572,6 +648,32 @@ def refine_essential_abstract(sigma, P, F, tangles=None, max_expansions=20000,
             continue
         if not family_is_element(F, el):
             raise HypothesisFailure("T' is not contained in F: %r" % (sorted(el),))
+
+
+def refine_essential_abstract(sigma, P, F, tangles=None, max_expansions=20000,
+                              cap=20):
+    """S-tree refining the essential star sigma up to a maximal star in P.
+
+    The tree lies over F plus the maximal cap star plus the singleton
+    inverses of sigma's members, each of which appears as a leaf separation.
+    """
+    S = P.system
+    sigma = check_star(sigma)
+    if tangles is None:
+        tangles = f_tangles(S, F)
+    _require_friendly(S, F)
+    return _refine_essential(sigma, P, F, list(tangles), max_expansions, cap)
+
+
+def _refine_essential(sigma, P, F, ts, max_expansions, cap):
+    """refine_essential_abstract for a checked star sigma and an F that
+    `_require_friendly` has accepted."""
+    from .refine import family_is_element, refine_inessential
+    from .trees import NestedSet, nodes, to_stree
+    S = P.system
+    owners = [Q for Q in ts if all(s in Q for s in sigma)]
+    if len(owners) != 1 or owners[0] != P:
+        raise HypothesisFailure("sigma must be home to exactly the given tangle")
     for s in sigma:
         if not is_good(s, ts)[0]:
             raise HypothesisFailure("sigma member %r is not good" % (s,))
@@ -625,7 +727,8 @@ def theorem_1_3(S, F, N_tilde, tangles=None, certify=True, max_expansions=20000,
     from .refine import family_is_element, refine_inessential
     from .trees import NestedSet, nodes
     probe = next(iter(S), None)
-    if probe is not None and not _element_distributive(probe):
+    if (isinstance(probe, UniverseElement)
+            and not require_lattice(probe.universe)["distributive"]):
         raise NonDistributive("the refinement theorem needs a distributive universe")
     if tangles is None:
         tangles = f_tangles(S, F)
@@ -649,13 +752,14 @@ def theorem_1_3(S, F, N_tilde, tangles=None, certify=True, max_expansions=20000,
         sub = refine_inessential(node, F, S, ts, max_expansions)
         members |= {canonical(x) for x in sub.separations()}
 
+    if ts:
+        _require_friendly(S, F)
     for P in ts:
         home = [node for node in nodes(NestedSet(S, members))
                 if all(x in P for x in node)]
         if len(home) != 1:
             raise VerificationFailed("tangle is home to %d nodes" % len(home))
-        tree = refine_essential_abstract(home[0], P, F, tangles=ts,
-                                         max_expansions=max_expansions, cap=cap)
+        tree = _refine_essential(check_star(home[0]), P, F, ts, max_expansions, cap)
         members |= {canonical(x) for x in tree.separations()}
 
     N = NestedSet(S, members)
@@ -729,7 +833,6 @@ def m3_universe():
     swap under the involution; used for recorded (not asserted) experiments.
     """
     ids = ["bot", "a", "b", "c", "top"]
-    mid = ["a", "b", "c"]
     leq = [("bot", x) for x in ids] + [(x, "top") for x in ids]
     inv = {"bot": "top", "top": "bot", "a": "a", "b": "b", "c": "c"}
     meet, join = {}, {}
@@ -744,8 +847,7 @@ def m3_universe():
             elif x == "top" or y == "top":
                 meet[(x, y)] = y if x == "top" else x
                 join[(x, y)] = "top"
-            else:
-                assert x in mid and y in mid
+            else:  # two distinct midpoints
                 meet[(x, y)] = "bot"
                 join[(x, y)] = "top"
     return Universe.from_tables(ids, leq, inv, meet, join)

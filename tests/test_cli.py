@@ -115,6 +115,38 @@ def test_abstract_subcommand(tmp_path):
     assert obj["format"] == "abstract-nested-set" and obj["members"]
 
 
+def _universe_file(tmp_path, edit):
+    """A saved random_distributive_universe(4) after `edit` changed its JSON."""
+    p = tmp_path / "u.json"
+    save_universe(random_distributive_universe(4), p)
+    obj = _read(p)
+    edit(obj)
+    p.write_text(json.dumps(obj))
+    return str(p)
+
+
+def test_abstract_rejects_a_universe_that_fails_an_axiom(tmp_path, capsys):
+    def swap(obj):
+        obj["inv"]["e00"] = "e01"
+    p = _universe_file(tmp_path, swap)
+    assert cli.run(["abstract", "--universe", p, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "involution_order_reversing" in err and "not friendly" not in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda obj: obj.pop("meet"),
+    lambda obj: obj["meet"].__setitem__(0, obj["meet"][0][:2]),
+    lambda obj: obj["leq"].__setitem__(0, obj["leq"][0][:1]),
+    lambda obj: obj.__setitem__("inv", sorted(obj["inv"].items())),
+    lambda obj: obj.__setitem__("order", {name: "x" for name in obj["elements"]}),
+], ids=["meet-missing", "short-meet-row", "short-leq-row", "inv-as-list",
+        "non-integer-order"])
+def test_abstract_malformed_universe_is_input_error(tmp_path, edit):
+    p = _universe_file(tmp_path, edit)
+    assert cli.run(["abstract", "--universe", p, "--out", str(tmp_path / "run")]) == 2
+
+
 def test_export_dot_subcommand(tmp_path, twin_graph, capsys):
     out = tmp_path / "run"
     cli.run(["refine", "--graph", twin_graph, "--k", "3", "--out", str(out)])

@@ -1,6 +1,7 @@
 """Abstract universes: lattice checks, unscrambling, near-maximal stars and
 the essential-node refinement."""
 
+import random
 import warnings
 
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from itertools import combinations
 
+from oracles import check_universe_elementwise
 from tangletree.distinguish import build_efficient_nested_set
-from tangletree.errors import HypothesisFailure, NonDistributive, ParseError
+from tangletree.errors import (HypothesisFailure, NonDistributive, NotInSystem,
+                               ParseError)
 from tangletree.examples import bridged_cliques
 from tangletree.seps import enumerate_separations, nested
 from tangletree.tangles import (CoverFamily, Orientation, StarFamily,
@@ -75,6 +78,65 @@ def test_graph_universe_matches_separations():
     u = Universe.of_graph(G)
     S = enumerate_separations(G, G.n + 1)
     assert set(u) == set(S.oriented)
+
+
+def _tables(u):
+    """The name-keyed tables of u, as Universe.from_tables takes them."""
+    elems = sorted(u, key=lambda x: x.sort_key)
+    leq = [(a.name, b.name) for a in elems for b in elems if a.leq(b) and a != b]
+    inv = {a.name: a.inv.name for a in elems}
+    meet = {(a.name, b.name): a.meet(b).name for a in elems for b in elems}
+    join = {(a.name, b.name): a.join(b).name for a in elems for b in elems}
+    return [a.name for a in elems], leq, inv, meet, join
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 200), st.sampled_from(["meet", "join", "inv", "leq"]),
+       st.integers(0, 2 ** 32), st.integers(1, 3))
+def test_check_universe_matches_elementwise_oracle(seed, table, rng_seed, edits):
+    ids, leq, inv, meet, join = _tables(random_distributive_universe(seed))
+    rng = random.Random(rng_seed)
+    for _ in range(edits):
+        a, b, c = rng.choice(ids), rng.choice(ids), rng.choice(ids)
+        if table == "meet":
+            meet[(a, b)] = c
+        elif table == "join":
+            join[(a, b)] = c
+        elif table == "inv":
+            inv[a] = b
+        else:
+            leq.append((a, b))
+    u = Universe.from_tables(ids, leq, inv, meet, join)
+    assert check_universe(u) == check_universe_elementwise(u)
+
+
+def test_check_universe_matches_oracle_on_other_backends():
+    G = bridged_cliques(2)
+    # separations of order < 2 only: joins and meets leave the set
+    unclosed = Universe(enumerate_separations(G, 2).oriented, "graph-separations")
+    for u in (m3_universe(), Universe.bipartitions(3), Universe.of_graph(G), unclosed):
+        assert check_universe(u) == check_universe_elementwise(u)
+    assert "not-closed" in check_universe(unclosed)["witnesses"]
+
+
+def test_table_elements_are_interned():
+    u = random_distributive_universe(3)
+    for x in u:
+        assert x.inv is x.inv and x.inv.inv is x
+        for y in u:
+            assert any(z is x.join(y) for z in u._elems)
+            assert any(z is x.meet(y) for z in u._elems)
+    with pytest.raises(NotInSystem):
+        next(iter(u)).leq(next(iter(random_distributive_universe(3))))
+
+
+def test_theorem_1_3_names_a_failed_lattice_axiom():
+    ids, leq, inv, meet, join = _tables(random_distributive_universe(4))
+    inv["e00"] = "e01"
+    u = Universe.from_tables(ids, leq, inv, meet, join)
+    S = u.system()
+    with pytest.raises(HypothesisFailure, match="involution_order_reversing"):
+        theorem_1_3(S, t_tilde_star(S), NestedSet(S, []))
 
 
 # ------------------------------------------------------------------ families
@@ -313,6 +375,19 @@ def test_refine_essential_abstract_leaves():
     P = next(t for t in ts if left in t)
     tree = refine_essential_abstract(frozenset({left}), P, F, tangles=ts)
     assert left in set(tree.leaf_separations())
+
+
+def test_refine_essential_abstract_checks_the_family():
+    G, S, F, ts = _graph_instance_k2()
+    from tangletree.seps import separation
+    left = separation(G, {4, 5, 6, 7}, {0, 1, 2, 3, 4})
+    P = next(t for t in ts if left in t)
+    no_singletons = StarFamily({el for el in F.elements if len(el) != 1})
+    with pytest.raises(HypothesisFailure, match="not friendly"):
+        refine_essential_abstract(frozenset({left}), P, no_singletons, tangles=ts)
+    no_t_prime = StarFamily(set(F.elements) - set(t_prime(S).elements))
+    with pytest.raises(HypothesisFailure, match="T' is not contained"):
+        refine_essential_abstract(frozenset({left}), P, no_t_prime, tangles=ts)
 
 
 def test_profile_nested_part():
