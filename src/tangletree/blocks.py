@@ -61,7 +61,8 @@ def _maximal_cliques(verts, compatible):
 
 def k_blocks(G, k):
     """All k-blocks: maximal pairwise k-inseparable sets of >= k vertices."""
-    assert k >= 1
+    if k < 1:
+        raise ValueError("k must be at least 1")
     pairs = {}
     for a, b in combinations(sorted(G.vertices), 2):
         pairs[(a, b)] = inseparable(G, a, b, k)

@@ -227,6 +227,8 @@ def run(argv=None):
     try:
         if getattr(args, "max_vertices", 1) <= 0 or getattr(args, "max_system", 1) <= 0:
             raise ParseError("caps must be positive")
+        if getattr(args, "k", 1) < 1:
+            raise ParseError("--k must be at least 1")
         return _HANDLERS[args.command](args)
     except TooLarge as e:
         print("cap exceeded: %s" % (e,), file=sys.stderr)

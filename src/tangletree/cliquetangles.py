@@ -52,7 +52,8 @@ class BaseTangle:
         b = self.cover.base_of(s)
         if b in self.base:
             return True
-        assert b.inv in self.base, "base pattern missing from the tangle"
+        if b.inv not in self.base:
+            raise VerificationFailed("base pattern missing from the tangle")
         return False
 
     def __eq__(self, other):

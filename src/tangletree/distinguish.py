@@ -80,7 +80,8 @@ def build_efficient_nested_set(tangles, S):
             t = min(crossing, key=lambda t: t.sort_key)
             ti = _orient_into(t, P)
             tj = _orient_into(t, Q)
-            assert ti is not None and ti == tj, "chosen member distinguishes the pair"
+            if ti is None or ti != tj:
+                raise VerificationFailed("a chosen member already distinguishes the pair")
             before = len(crossing)
             s2 = s.meet(ti.inv)
             if s2.order > s.order or not (s2 in P and s2.inv in Q):

@@ -24,7 +24,8 @@ def satellite_cliques(m=6, branches=3):
     vertex and b_i joining 2i+1 to the second.  The connector regions are
     parts too small to host a tangle.
     """
-    assert 2 * branches <= m
+    if 2 * branches > m:
+        raise ValueError("%d branches need m >= %d" % (branches, 2 * branches))
     edges = set()
     for i in range(m):
         for j in range(i + 1, m):
@@ -45,7 +46,8 @@ def satellite_cliques(m=6, branches=3):
 def shared_pair_cliques(m=6, branches=3):
     """A central K_m with satellites glued along vertex pairs; every part of
     the canonical decomposition is already tight."""
-    assert 2 * branches <= m
+    if 2 * branches > m:
+        raise ValueError("%d branches need m >= %d" % (branches, 2 * branches))
     blocks = [list(range(m))]
     n = m
     for i in range(branches):

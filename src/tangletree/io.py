@@ -8,10 +8,10 @@ produced by a seeded run.
 
 import json
 
-from .errors import ParseError
+from .errors import NotInSystem, ParseError
 from .graphs import Graph
 from .seps import OrientedSeparation, SeparationSystem, canonical
-from .tangles import Orientation, StarFamily, TangleSet
+from .tangles import Orientation, StarFamily
 from .trees import NestedSet, TreeDecomposition
 
 
@@ -54,6 +54,13 @@ def _sep_in(G, pair):
     return OrientedSeparation(G, frozenset(A), frozenset(B))
 
 
+def _list(obj, key):
+    value = obj.get(key)
+    if not isinstance(value, list):
+        raise ParseError("%r is missing or not a list" % (key,))
+    return value
+
+
 # ------------------------------------------------------------------- graphs
 
 
@@ -70,7 +77,13 @@ def load_graph(path):
         text = f.read()
     if text.lstrip().startswith("{"):
         obj = _load(path, "graph")
-        return Graph(int(obj["n"]), [tuple(e) for e in obj["edges"]])
+        n, edges = obj.get("n"), _list(obj, "edges")
+        if type(n) is not int or n < 0:
+            raise ParseError("graph 'n' must be a non-negative integer")
+        if not all(isinstance(e, list) and len(e) == 2
+                   and all(type(v) is int for v in e) for e in edges):
+            raise ParseError("graph 'edges' must be pairs of integers")
+        return _graph(n, edges)
     edges = []
     for line in text.splitlines():
         line = line.split("#")[0].strip()
@@ -86,7 +99,14 @@ def load_graph(path):
         edges.append((u, v))
     if not edges:
         raise ParseError("empty edge list")
-    return Graph(max(v for e in edges for v in e) + 1, edges)
+    return _graph(max(v for e in edges for v in e) + 1, edges)
+
+
+def _graph(n, edges):
+    try:
+        return Graph(n, [tuple(e) for e in edges])
+    except ValueError as e:
+        raise ParseError(str(e))
 
 
 # ------------------------------------------------------------------ systems
@@ -148,7 +168,7 @@ def load_tangles(path, G=None):
             raise ParseError("tangle row length mismatch")
         chosen = {s if b == 0 else s.inv for s, b in zip(reps, sides)}
         out.append(Orientation(S, chosen))
-    return TangleSet(out)
+    return out
 
 
 # --------------------------------------------------------------- star families
@@ -164,7 +184,7 @@ def save_star_family(F, path, seed=None):
 
 def load_star_family(path, G):
     obj = _load(path, "star-family")
-    els = [frozenset(_sep_in(G, p) for p in el) for el in obj["stars"]]
+    els = [frozenset(_sep_in(G, p) for p in el) for el in _list(obj, "stars")]
     return StarFamily(els, tag=obj.get("tag", "user"))
 
 
@@ -281,7 +301,15 @@ def save_abstract_system(S, path, seed=None):
 
 def load_abstract_system(path, U):
     obj = _load(path, "abstract-system")
-    return U.system([U.element(name) for name in obj["members"]])
+    return U.system(_elements(U, _list(obj, "members")))
+
+
+def _elements(U, names):
+    """The elements of U with the given names; an unknown name is a ParseError."""
+    try:
+        return [U.element(name) for name in names]
+    except NotInSystem as e:
+        raise ParseError(str(e))
 
 
 def save_abstract_star_family(F, path, seed=None):
@@ -293,7 +321,10 @@ def save_abstract_star_family(F, path, seed=None):
 
 def load_abstract_star_family(path, U):
     obj = _load(path, "abstract-star-family")
-    els = [frozenset(U.element(name) for name in el) for el in obj["stars"]]
+    stars = _list(obj, "stars")
+    if not all(isinstance(el, list) for el in stars):
+        raise ParseError("'stars' must be lists of element names")
+    els = [frozenset(_elements(U, el)) for el in stars]
     return StarFamily(els, tag=obj.get("tag", "user"))
 
 

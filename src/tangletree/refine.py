@@ -8,7 +8,7 @@ from .errors import (EmulationFailure, HypothesisFailure, NotExclusiveAnywhere,
 from .seps import canonical, nested
 from .tangles import (check_star, closely_related, distinguishers, f_tangles,
                       interior, is_star, star_leq)
-from .trees import STree, NestedSet, TreeDecomposition, _nodes_by_orientation
+from .trees import STree, NestedSet, TreeDecomposition, _nodes_structural
 
 
 class ShiftContext:
@@ -35,23 +35,6 @@ class ShiftContext:
         if self.r.leq(x):
             return x.join(self.s)
         return x.inv.join(self.s).inv
-
-
-def shift_stree(ctx, T):
-    """Shift every edge separation; the result is validated as an S-tree."""
-    alpha = {}
-    for e, x in T.alpha.items():
-        alpha[e] = ctx.shift(x)
-    stars = []
-    for i in range(len(T.stars)):
-        star = frozenset(alpha[(j, i)] for (j, k) in alpha if k == i)
-        if not is_star(star):
-            raise VerificationFailed("shifted node %d is not a star" % i)
-        stars.append(star)
-    for x in alpha.values():
-        if x not in ctx.S:
-            raise VerificationFailed("shifted separation left the system")
-    return STree(stars, T.edges, alpha)
 
 
 # ------------------------------------------------------- inessential stars
@@ -159,7 +142,8 @@ def _carve_cover(sigma, F, S, budget):
         B = union(all_idx - idx)
         if len(idx) == 1 and parts[min(idx)][0] == "sep":
             s = parts[min(idx)][2]
-            assert s.A == A and B <= s.B
+            if s.A != A or not B <= s.B:
+                raise VerificationFailed("part separation %r does not bound its part" % (s,))
             return s
         return OrientedSeparation(G, A, B)
 
@@ -364,7 +348,8 @@ def refine_inessential(sigma, F, S, tangles, max_expansions=20000):
     # certificate: leaves carry sigma, internal stars lie in F
     leaf_seps = set(tree.leaf_separations())
     for s in sigma:
-        assert s in leaf_seps, "input member %r is not a leaf separation" % (s,)
+        if s not in leaf_seps:
+            raise VerificationFailed("input member %r is not a leaf separation" % (s,))
     deg = {}
     for (i, j) in tree.edges:
         deg[i] = deg.get(i, 0) + 1
@@ -372,8 +357,8 @@ def refine_inessential(sigma, F, S, tangles, max_expansions=20000):
     for i, st in enumerate(tree.stars):
         if st in ({frozenset({s.inv}) for s in sigma}) and deg.get(i, 0) == 1:
             continue
-        assert family_is_element(F, st), \
-            "internal star not in the family: %r" % (sorted(st),)
+        if not family_is_element(F, st):
+            raise VerificationFailed("internal star not in the family: %r" % (sorted(st),))
     return tree
 
 
@@ -564,8 +549,8 @@ def min_interior_exclusive_star(tau, sigma, tangles):
     # corner moves may add small members; they lie in every tangle and have
     # B = V, so dropping them changes neither interior nor ownership
     rho = frozenset(s for s in rho if not s.is_small and not s.is_degenerate)
-    assert star_leq(sigma, rho)
-    assert len(interior(rho, G)) == best_size
+    if not star_leq(sigma, rho) or len(interior(rho, G)) != best_size:
+        raise VerificationFailed("exclusive star %r lost dominance or minimality" % (sorted(rho),))
     return rho
 
 
@@ -674,7 +659,8 @@ def theorem_1_2(G, k, F, N_tilde, tangles=None):
                           if i < n_internal and j < n_internal}
             new_ids = splice(t, frag_stars, frag_alpha, boundary)
             for i in new_ids:
-                assert family_is_element(F, stars[i])
+                if not family_is_element(F, stars[i]):
+                    raise VerificationFailed("spliced star %r is not in F" % (sorted(stars[i]),))
                 status[i] = "inessential"
         else:
             tau = owners[0]
@@ -685,7 +671,7 @@ def theorem_1_2(G, k, F, N_tilde, tangles=None):
             M = sorted({canonical(x) for x in set(st) | set(sig2)},
                        key=lambda x: x.sort_key)
             local = NestedSet(S, M)
-            lstars = sorted(_nodes_by_orientation(local),
+            lstars = sorted(_nodes_structural(local),
                             key=lambda x: sorted(s.sort_key for s in x))
             inside = [x for x in lstars
                       if not any(s.inv in x for s in st)]
@@ -725,13 +711,14 @@ def theorem_1_2(G, k, F, N_tilde, tangles=None):
     members = [canonical(x) for x in tree.alpha.values()]
     N = NestedSet(S, members)
     from .trees import refines
-    assert refines(N, N_tilde)
+    if not refines(N, N_tilde):
+        raise VerificationFailed("the refinement dropped a premise separation")
     bags = [interior(x, G) for x in final_stars]
     TD = TreeDecomposition(G, bags, final_edges)
     ok, w = TD.is_valid()
     if not ok:
         raise VerificationFailed("refined bags are not a tree-decomposition: %r" % (w,))
     for i in range(len(final_stars)):
-        if status[order[i]] == "inessential":
-            assert family_is_element(F, final_stars[i])
+        if status[order[i]] == "inessential" and not family_is_element(F, final_stars[i]):
+            raise VerificationFailed("inessential node %r is not in F" % (sorted(final_stars[i]),))
     return N, TD

@@ -124,19 +124,6 @@ def nested(a, b):
     return compare(a, b) != "crossing"
 
 
-def corner(a, b, which):
-    """Corner separation of a and b: one of 'join', 'meet', or their inverses."""
-    if which == "join":
-        return a.join(b)
-    if which == "meet":
-        return a.meet(b)
-    if which == "join-inv":
-        return a.join(b).inv
-    if which == "meet-inv":
-        return a.meet(b).inv
-    raise ValueError("which must be join/meet/join-inv/meet-inv")
-
-
 class SeparationSystem:
     """A finite involution-closed set of oriented separations (or elements)."""
 
@@ -217,57 +204,11 @@ def _separator_sweep(G, k):
     return out
 
 
-def _one_sided_sweep(G, k):
-    out = set()
-    verts = sorted(G.vertices)
-    V = G.vertices
-    for size in range(min(k, G.n + 1)):
-        for A in combinations(verts, size):
-            out.add(OrientedSeparation(G, frozenset(A), V))
-            out.add(OrientedSeparation(G, V, frozenset(A)))
-    return out
-
-
 def enumerate_separations(G, k, max_vertices=MAX_VERTICES, max_system=MAX_SYSTEM):
-    """S_k(G): all oriented separations of order < k, canonical and complete.
-
-    Runs the separator-based sweep and the explicit one-sided sweep; the
-    one-sided output must already be contained in the separator sweep, which
-    is asserted here as a self-check.
-    """
+    """S_k(G): all oriented separations of order < k, canonical and complete."""
     if G.n > max_vertices:
         raise TooLarge("|V|=%d exceeds cap %d" % (G.n, max_vertices))
     members = _separator_sweep(G, k)
-    one_sided = _one_sided_sweep(G, k)
-    assert one_sided <= members, "separator sweep missed one-sided separations"
     if len(members) > max_system:
         raise TooLarge("|S_k|=%d exceeds cap %d" % (len(members), max_system))
     return SeparationSystem(G, members, k=k)
-
-
-def brute_force_separations(G, k):
-    """Oracle: sweep all ordered subset pairs through validation."""
-    out = set()
-    verts = sorted(G.vertices)
-    subsets = []
-    for size in range(G.n + 1):
-        subsets.extend(frozenset(c) for c in combinations(verts, size))
-    for A in subsets:
-        for B in subsets:
-            if A | B != G.vertices or len(A & B) >= k:
-                continue
-            try:
-                out.add(separation(G, A, B))
-            except CrossingEdge:
-                pass
-    return SeparationSystem(G, out, k=k)
-
-
-def is_submodular_system(S):
-    """For all oriented r,s: r v s in S or r ^ s in S."""
-    elems = list(S)
-    for i, r in enumerate(elems):
-        for s in elems[i:]:
-            if r.join(s) not in S and r.meet(s) not in S:
-                return False
-    return True

@@ -4,7 +4,7 @@ import random
 from itertools import combinations
 
 from .errors import (HypothesisFailure, Indistinct, NotAStar, NotInProfile,
-                     TangletreeError, TooLarge)
+                     TangletreeError, VerificationFailed)
 from .seps import canonical
 
 
@@ -103,33 +103,6 @@ def is_consistent(O):
         if y.inv.leq(x):
             return False, (y, x)
     return True, None
-
-
-class TangleSet:
-    """Orientations with verified flags."""
-
-    __slots__ = ("tangles", "flags")
-
-    def __init__(self, tangles):
-        self.tangles = list(tangles)
-        self.flags = []
-        for O in self.tangles:
-            prof, _ = is_profile(O)
-            reg, _ = is_regular(O)
-            self.flags.append({
-                "consistent": is_consistent(O)[0],
-                "profile": prof,
-                "regular": reg,
-            })
-
-    def __iter__(self):
-        return iter(self.tangles)
-
-    def __len__(self):
-        return len(self.tangles)
-
-    def __getitem__(self, i):
-        return self.tangles[i]
 
 
 # ---------------------------------------------------------------- families
@@ -249,16 +222,6 @@ class CoverFamily:
                         return frozenset({a, b, c})
         return None
 
-    def elements_over(self, S):
-        """Materialize the family over a (small) system; used by checks only."""
-        lst = sorted(S, key=lambda s: s.sort_key)
-        out = set()
-        for r in range(1, 4):
-            for c in combinations(lst, r):
-                if self._is_element(set(c)):
-                    out.add(frozenset(c))
-        return out
-
 
 def p_s_family(S, stars_only=False):
     """P_S: all {r, s, (r v s)*} with r v s in S; optionally only the stars."""
@@ -334,7 +297,11 @@ def _backtrack_orientations(S, prune):
 
 
 def f_tangles(S, F):
-    """All F-tangles of S by backtracking; see brute_force_f_tangles for the oracle."""
+    """All F-tangles of S by backtracking, sorted.
+
+    Each one is certified consistent and free of elements of F; a failed
+    certificate raises VerificationFailed.
+    """
 
     def prune(chosen, y):
         for x in chosen:
@@ -347,32 +314,13 @@ def f_tangles(S, F):
     out = []
     for chosen in _backtrack_orientations(S, prune):
         O = Orientation(S, chosen)
-        assert is_consistent(O)[0] and F.subset_in(O.chosen) is None
-        out.append(O)
-    out.sort(key=lambda O: tuple(s.sort_key for s in O))
-    return TangleSet(out)
-
-
-def brute_force_f_tangles(S, F, limit=18):
-    """Oracle: filter all 2^|S| orientations; refuses beyond the limit."""
-    reps = S.unoriented()
-    nd = [s for s in reps if not s.is_degenerate]
-    if len(nd) > limit:
-        raise TooLarge("%d members > %d" % (len(nd), limit))
-    base = [s for s in reps if s.is_degenerate]
-    out = []
-    for mask in range(2 ** len(nd)):
-        chosen = set(base)
-        for i, s in enumerate(nd):
-            chosen.add(s if mask >> i & 1 else s.inv)
-        O = Orientation(S, chosen)
         if not is_consistent(O)[0]:
-            continue
+            raise VerificationFailed("tangle search returned an inconsistent orientation")
         if F.subset_in(O.chosen) is not None:
-            continue
+            raise VerificationFailed("tangle search returned an orientation with an F-element")
         out.append(O)
     out.sort(key=lambda O: tuple(s.sort_key for s in O))
-    return TangleSet(out)
+    return out
 
 
 def is_profile(O):
@@ -395,24 +343,15 @@ def is_regular(O):
 
 
 def regular_profiles(S):
-    """All regular profiles of S.
+    """All regular profiles of S by backtracking, sorted.
 
-    Small members are pre-oriented small-side-first (forced by regularity),
-    then the proper members are enumerated by backtracking.
+    Regularity orients every small member small-side-first.  Each profile is
+    certified consistent and regular; a failed certificate raises
+    VerificationFailed.
     """
-    forced = set()
-    for s in S.unoriented():
-        if s.is_degenerate:
-            forced.add(s)
-        elif s.is_small:
-            forced.add(s)
-        elif s.is_cosmall:
-            forced.add(s.inv)
 
     def prune(chosen, y):
         if y.is_cosmall and not y.is_degenerate:
-            return True
-        if not y.is_small and y.inv in forced:
             return True
         for x in chosen:
             if _pair_inconsistent(x, y):
@@ -425,17 +364,16 @@ def regular_profiles(S):
         return False
 
     out = []
-    seen = set()
     for chosen in _backtrack_orientations(S, prune):
-        chosen = frozenset(chosen | forced) if not forced <= chosen else frozenset(chosen)
-        if chosen in seen:
-            continue
-        seen.add(chosen)
         O = Orientation(S, chosen)
-        if is_consistent(O)[0] and is_profile(O)[0] and is_regular(O)[0]:
-            out.append(O)
+        # the prune misses a (r v s)* whose member is chosen after r and s
+        if not is_profile(O)[0]:
+            continue
+        if not is_consistent(O)[0] or not is_regular(O)[0]:
+            raise VerificationFailed("search returned an inconsistent or irregular profile")
+        out.append(O)
     out.sort(key=lambda O: tuple(s.sort_key for s in O))
-    return TangleSet(out)
+    return out
 
 
 # ---------------------------------------------------------------- relations

@@ -2,9 +2,9 @@
 
 from itertools import combinations
 
-from .errors import Irregular, NotNested
-from .seps import canonical, compare, nested, separation
-from .tangles import _backtrack_orientations, _pair_inconsistent, interior, same_separation
+from .errors import Irregular, NotNested, VerificationFailed
+from .seps import canonical, nested, separation
+from .tangles import interior, same_separation
 
 
 class NestedSet:
@@ -65,23 +65,6 @@ def check_regular(N):
                 raise Irregular("member %r trivial within the set" % (s,))
 
 
-def _nodes_by_orientation(N):
-    oriented = sorted(N.oriented(), key=lambda s: s.sort_key)
-
-    def prune(chosen, y):
-        return any(_pair_inconsistent(x, y) for x in chosen)
-
-    from .seps import SeparationSystem
-    sub = SeparationSystem(N.system.ground, frozenset(oriented))
-    stars = set()
-    for chosen in _backtrack_orientations(sub, prune):
-        maximal = frozenset(
-            s for s in chosen
-            if not any(not same_separation(s, t) and s.leq(t) and s != t for t in chosen))
-        stars.add(maximal)
-    return stars
-
-
 def _nodes_structural(N):
     oriented = sorted(N.oriented(), key=lambda s: s.sort_key)
     if not oriented:
@@ -96,18 +79,10 @@ def _nodes_structural(N):
     return stars
 
 
-def nodes(N, force_method=None):
-    """Splitting stars of a regular nested set.
-
-    Orientation enumeration for |N| <= 25, structural beyond; both paths are
-    cross-checked on small inputs by the test suite.
-    """
+def nodes(N):
+    """Splitting stars of a regular nested set, sorted."""
     check_regular(N)
-    if not N.members:
-        return [frozenset()]
-    method = force_method or ("orientation" if len(N) <= 25 else "structural")
-    stars = _nodes_by_orientation(N) if method == "orientation" else _nodes_structural(N)
-    return sorted(stars, key=lambda st: sorted(s.sort_key for s in st))
+    return sorted(_nodes_structural(N), key=lambda st: sorted(s.sort_key for s in st))
 
 
 class STree:
@@ -120,8 +95,8 @@ class STree:
         self.edges = sorted(edges)        # (i, j) with i < j
         self.alpha = dict(alpha)          # (i, j) -> oriented sep pointing to j
         for (i, j) in self.edges:
-            s = self.alpha[(i, j)]
-            assert self.alpha[(j, i)] == s.inv
+            if self.alpha[(j, i)] != self.alpha[(i, j)].inv:
+                raise VerificationFailed("alpha is not inverted on edge %r" % ((i, j),))
 
     def leaf_separations(self):
         """Oriented separations on leaf edges, pointing away from the leaf."""
@@ -153,7 +128,8 @@ def to_stree(N):
     alpha = {}
     for s in N.oriented():
         home = [st for st in stars if s in st]
-        assert len(home) == 1, "member %r lies in %d nodes" % (s, len(home))
+        if len(home) != 1:
+            raise VerificationFailed("member %r lies in %d nodes" % (s, len(home)))
     for s in N:
         j = index[next(st for st in stars if s in st)]
         i = index[next(st for st in stars if s.inv in st)]
@@ -162,7 +138,8 @@ def to_stree(N):
         alpha[(i, j)] = s
         alpha[(j, i)] = s.inv
     tree = STree(stars, edges, alpha)
-    assert len(tree.stars) == len(N) + 1, "nested set does not form a tree"
+    if len(tree.stars) != len(N) + 1:
+        raise VerificationFailed("nested set does not form a tree")
     return tree
 
 
@@ -272,10 +249,12 @@ def to_tree_decomposition(N, G):
     bags = [interior(st, G) for st in tree.stars]
     td = TreeDecomposition(G, bags, [(i, j) for (i, j) in tree.edges])
     ok, w = td.is_valid()
-    assert ok, "interior bags do not form a tree-decomposition: %r" % (w,)
+    if not ok:
+        raise VerificationFailed("interior bags do not form a tree-decomposition: %r" % (w,))
     induced = td.induced_separations()
     got = {canonical(s) for s in induced.values()}
-    assert got == set(N.members), "round trip failed: induced separations differ"
+    if got != set(N.members):
+        raise VerificationFailed("round trip failed: induced separations differ")
     return td
 
 

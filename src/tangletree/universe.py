@@ -720,8 +720,7 @@ def _refine_essential(sigma, P, F, ts, max_expansions, cap):
     return tree
 
 
-def theorem_1_3(S, F, N_tilde, tangles=None, certify=True, max_expansions=20000,
-                cap=20):
+def theorem_1_3(S, F, N_tilde, tangles=None, max_expansions=20000, cap=20):
     """Refine N_tilde so inessential nodes lie in F and essential nodes are
     maximal stars in their tangles; requires a distributive universe."""
     from .refine import family_is_element, refine_inessential
@@ -765,22 +764,21 @@ def theorem_1_3(S, F, N_tilde, tangles=None, certify=True, max_expansions=20000,
     N = NestedSet(S, members)
     if not N_tilde.members <= N.members:
         raise VerificationFailed("the refinement dropped a premise separation")
-    if certify:
-        for node in nodes(N):
-            owners = [Q for Q in ts if all(x in Q for x in node)]
-            if owners:
-                try:
-                    ok, w = is_maximal_star(node, owners[0], cap=cap)
-                except TooLarge:
-                    warnings.warn("essential-node maximality left uncertified "
-                                  "(profile too large to enumerate)")
-                    continue
-                if not ok:
-                    raise VerificationFailed(
-                        "essential node %r is exceeded by %r" % (sorted(node), sorted(w)))
-            elif not family_is_element(F, node):
+    for node in nodes(N):
+        owners = [Q for Q in ts if all(x in Q for x in node)]
+        if owners:
+            try:
+                ok, w = is_maximal_star(node, owners[0], cap=cap)
+            except TooLarge:
+                warnings.warn("essential-node maximality left uncertified "
+                              "(profile too large to enumerate)")
+                continue
+            if not ok:
                 raise VerificationFailed(
-                    "inessential node %r is not in F" % (sorted(node),))
+                    "essential node %r is exceeded by %r" % (sorted(node), sorted(w)))
+        elif not family_is_element(F, node):
+            raise VerificationFailed(
+                "inessential node %r is not in F" % (sorted(node),))
     return N
 
 

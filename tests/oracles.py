@@ -2,6 +2,101 @@
 
 from itertools import combinations
 
+from tangletree.errors import CrossingEdge, TooLarge
+from tangletree.seps import OrientedSeparation, SeparationSystem, separation
+from tangletree.tangles import (Orientation, _backtrack_orientations,
+                                _pair_inconsistent, is_consistent,
+                                same_separation)
+
+
+def brute_force_separations(G, k):
+    """S_k(G) by sweeping all ordered subset pairs through validation."""
+    out = set()
+    verts = sorted(G.vertices)
+    subsets = []
+    for size in range(G.n + 1):
+        subsets.extend(frozenset(c) for c in combinations(verts, size))
+    for A in subsets:
+        for B in subsets:
+            if A | B != G.vertices or len(A & B) >= k:
+                continue
+            try:
+                out.add(separation(G, A, B))
+            except CrossingEdge:
+                pass
+    return SeparationSystem(G, out, k=k)
+
+
+def one_sided_separations(G, k):
+    """The separations (A, V) and (V, A) with |A| < k, all of which lie in S_k(G)."""
+    out = set()
+    V = G.vertices
+    for size in range(min(k, G.n + 1)):
+        for A in combinations(sorted(V), size):
+            out.add(OrientedSeparation(G, frozenset(A), V))
+            out.add(OrientedSeparation(G, V, frozenset(A)))
+    return out
+
+
+def is_submodular_system(S):
+    """For all oriented r,s: r v s in S or r ^ s in S."""
+    elems = list(S)
+    for i, r in enumerate(elems):
+        for s in elems[i:]:
+            if r.join(s) not in S and r.meet(s) not in S:
+                return False
+    return True
+
+
+def elements_over(F, S):
+    """The elements of a `CoverFamily` F that are subsets of the (small) system S."""
+    lst = sorted(S, key=lambda s: s.sort_key)
+    out = set()
+    for r in range(1, 4):
+        for c in combinations(lst, r):
+            if F._is_element(set(c)):
+                out.add(frozenset(c))
+    return out
+
+
+def brute_force_f_tangles(S, F, limit=18):
+    """The F-tangles of S by filtering all 2^|S| orientations; refuses beyond
+    the limit.  The reference for `tangles.f_tangles`."""
+    reps = S.unoriented()
+    nd = [s for s in reps if not s.is_degenerate]
+    if len(nd) > limit:
+        raise TooLarge("%d members > %d" % (len(nd), limit))
+    base = [s for s in reps if s.is_degenerate]
+    out = []
+    for mask in range(2 ** len(nd)):
+        chosen = set(base)
+        for i, s in enumerate(nd):
+            chosen.add(s if mask >> i & 1 else s.inv)
+        O = Orientation(S, chosen)
+        if not is_consistent(O)[0]:
+            continue
+        if F.subset_in(O.chosen) is not None:
+            continue
+        out.append(O)
+    out.sort(key=lambda O: tuple(s.sort_key for s in O))
+    return out
+
+
+def nodes_by_orientation(N):
+    """Splitting stars of a nested set as the maximal members of its consistent
+    orientations, sorted; the reference for `trees.nodes`."""
+
+    def prune(chosen, y):
+        return any(_pair_inconsistent(x, y) for x in chosen)
+
+    sub = SeparationSystem(N.system.ground, frozenset(N.oriented()))
+    stars = set()
+    for chosen in _backtrack_orientations(sub, prune):
+        stars.add(frozenset(
+            s for s in chosen
+            if not any(not same_separation(s, t) and s.leq(t) and s != t for t in chosen)))
+    return sorted(stars, key=lambda st: sorted(s.sort_key for s in st))
+
 
 def check_universe_elementwise(U):
     """Exhaustive lattice / involution / distributivity report with witnesses,

@@ -7,6 +7,8 @@ import time
 from itertools import combinations
 
 from conftest import random_graph
+from oracles import (brute_force_f_tangles, brute_force_separations,
+                     elements_over, nodes_by_orientation)
 from tangletree import cli
 from tangletree.blocks import verify_theorem_4_8
 from tangletree.cliquetangles import CliqueCover
@@ -19,12 +21,10 @@ from tangletree.io import (load_graph, load_system, load_tangles,
                            save_system, save_tangles, save_tree_decomposition,
                            save_universe)
 from tangletree.refine import exclusive_stars, theorem_1_2
-from tangletree.seps import (brute_force_separations, enumerate_separations,
-                             nested)
-from tangletree.tangles import (CoverFamily, brute_force_f_tangles,
-                                closely_related, f_tangles, interior,
-                                profile_stand_in_family, regular_profiles,
-                                star_leq)
+from tangletree.seps import enumerate_separations, nested
+from tangletree.tangles import (CoverFamily, closely_related, f_tangles,
+                                interior, profile_stand_in_family,
+                                regular_profiles, star_leq)
 from tangletree.trees import NestedSet, nodes
 from tangletree.universe import (is_maximal_star, near_max_star,
                                  random_distributive_universe,
@@ -181,7 +181,7 @@ def test_criterion_5_abstract_property_suite():
     G = bridged_cliques(4)
     S = enumerate_separations(G, 2)
     Tk = CoverFamily(G, 2, stars_only=True)
-    F = StarFamily(set(Tk.elements_over(S)) | set(t_prime(S).elements),
+    F = StarFamily(elements_over(Tk, S) | set(t_prime(S).elements),
                    tag="Tkstars+Tprime")
     ts = f_tangles(S, F)
     assert len(ts) == 2
@@ -228,8 +228,7 @@ def test_criterion_6_oracle_equivalences():
         N = _random_nested_set(seed)
         if N is None or not N.members:
             continue
-        assert (nodes(N, force_method="orientation")
-                == nodes(N, force_method="structural"))
+        assert nodes(N) == nodes_by_orientation(N)
         compared += 1
     assert compared >= 10
     # goodness coincides with efficient distinguishing on regular profiles

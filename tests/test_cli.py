@@ -147,6 +147,44 @@ def test_abstract_malformed_universe_is_input_error(tmp_path, edit):
     assert cli.run(["abstract", "--universe", p, "--out", str(tmp_path / "run")]) == 2
 
 
+@pytest.mark.parametrize("option,obj", [
+    ("--system", {"format": "abstract-system"}),
+    ("--system", {"format": "abstract-system", "members": ["nope"]}),
+    ("--family", {"format": "abstract-star-family"}),
+    ("--family", {"format": "abstract-star-family", "stars": [["nope"]]}),
+], ids=["system-members-missing", "system-unknown-name", "family-stars-missing",
+        "family-unknown-name"])
+def test_abstract_malformed_system_or_family_is_input_error(tmp_path, option, obj):
+    u = _universe_file(tmp_path, lambda obj: None)
+    p = tmp_path / "given.json"
+    p.write_text(json.dumps(obj))
+    given = str(p) if option == "--system" else "file:" + str(p)
+    assert cli.run(["abstract", "--universe", u, option, given,
+                    "--out", str(tmp_path / "run")]) == 2
+
+
+@pytest.mark.parametrize("obj", [
+    {"edges": [[0, 1]]},
+    {"n": 2, "edges": [[0, 0]]},
+    {"n": 2, "edges": [[0, 5]]},
+    {"n": "2", "edges": [[0, 1]]},
+    {"n": 3, "edges": [[0, 1, 2]]},
+], ids=["n-missing", "self-loop", "out-of-range-vertex", "non-integer-n",
+        "edge-not-a-pair"])
+def test_malformed_graph_is_input_error(tmp_path, obj):
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(dict(obj, format="graph")))
+    assert cli.run(["tangles", "--graph", str(p), "--k", "2",
+                    "--out", str(tmp_path / "run")]) == 2
+
+
+@pytest.mark.parametrize("command,k", [("blocks", "0"), ("blocks", "-1"),
+                                       ("tangles", "-1")])
+def test_k_below_one_is_input_error(tmp_path, twin_graph, command, k):
+    assert cli.run([command, "--graph", twin_graph, "--k", k,
+                    "--out", str(tmp_path / "run")]) == 2
+
+
 def test_export_dot_subcommand(tmp_path, twin_graph, capsys):
     out = tmp_path / "run"
     cli.run(["refine", "--graph", twin_graph, "--k", "3", "--out", str(out)])

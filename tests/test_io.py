@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from oracles import elements_over
 from tangletree.distinguish import build_efficient_nested_set
 from tangletree.errors import ParseError
 from tangletree.examples import bridged_cliques
@@ -92,7 +93,7 @@ def test_star_family_round_trip(tmp_path, twin):
     G, S, ts = twin
     from tangletree.tangles import StarFamily
     Tk = CoverFamily(G, 3, stars_only=True)
-    F = StarFamily(set(Tk.elements_over(S)), tag="twin")
+    F = StarFamily(elements_over(Tk, S), tag="twin")
     p = tmp_path / "f.json"
     save_star_family(F, p)
     got = load_star_family(p, G)

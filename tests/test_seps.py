@@ -5,12 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
+from oracles import (brute_force_separations, is_submodular_system,
+                     one_sided_separations)
 from tangletree.errors import CrossingEdge, NotACover, NotInSystem, TooLarge
 from tangletree.examples import bridged_cliques
 from tangletree.graphs import complete_graph, cycle_graph, path_graph
-from tangletree.seps import (brute_force_separations, canonical, classify,
-                             compare, corner, enumerate_separations,
-                             is_submodular_system, nested, separation)
+from tangletree.seps import (canonical, classify, compare,
+                             enumerate_separations, nested, separation)
+
+SMALL_SYSTEMS = [
+    (path_graph(4), 2), (cycle_graph(5), 2), (complete_graph(4), 3),
+    (bridged_cliques(3), 3), (path_graph(6), 3),
+]
 
 
 def test_separation_validation():
@@ -32,8 +38,8 @@ def test_lattice_ops_and_involution():
     assert b.inv.leq(a.inv)
     assert a.inv.inv == a
     assert compare(a, b) == "leq" and compare(b, a) == "geq"
-    assert corner(a, b, "join") == b
-    assert corner(a, b, "meet-inv") == a.inv
+    assert a.join(b) == b
+    assert a.meet(b).inv == a.inv
 
 
 def test_classify_flags():
@@ -50,14 +56,16 @@ def test_classify_flags():
         classify(separation(G, {0, 1, 2}, {1, 2, 3}), S)   # order 2, not in S_2
 
 
-@pytest.mark.parametrize("G,k", [
-    (path_graph(4), 2), (cycle_graph(5), 2), (complete_graph(4), 3),
-    (bridged_cliques(3), 3), (path_graph(6), 3),
-])
+@pytest.mark.parametrize("G,k", SMALL_SYSTEMS)
 def test_enumeration_matches_subset_pair_sweep(G, k):
     fast = enumerate_separations(G, k)
     slow = brute_force_separations(G, k)
     assert fast.oriented == slow.oriented
+
+
+@pytest.mark.parametrize("G,k", SMALL_SYSTEMS)
+def test_enumeration_contains_one_sided_separations(G, k):
+    assert one_sided_separations(G, k) <= enumerate_separations(G, k).oriented
 
 
 @settings(max_examples=20, deadline=None)

@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
+from oracles import brute_force_f_tangles
 from tangletree.errors import Indistinct, NotAStar, NotInProfile
 from tangletree.examples import bridged_cliques
 from tangletree.graphs import complete_graph, cycle_graph, path_graph
 from tangletree.seps import canonical, enumerate_separations, separation
-from tangletree.tangles import (CoverFamily, Orientation, brute_force_f_tangles,
-                                check_star, check_star_family, closely_related,
+from tangletree.tangles import (CoverFamily, Orientation, check_star,
+                                check_star_family, closely_related,
                                 distinguishers, distinguishes, f_tangles,
                                 guarded_infimum, interior, is_consistent,
                                 is_good, is_profile, is_regular, is_star,

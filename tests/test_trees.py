@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
+from oracles import nodes_by_orientation
 from tangletree.distinguish import build_efficient_nested_set
 from tangletree.errors import Irregular, NotNested
 from tangletree.examples import bridged_cliques
@@ -81,9 +82,7 @@ def test_nodes_structural_matches_orientation(seed):
     N = _random_nested_set(seed)
     if N is None or not N.members:
         return
-    by_orient = nodes(N, force_method="orientation")
-    structural = nodes(N, force_method="structural")
-    assert by_orient == structural
+    assert nodes(N) == nodes_by_orientation(N)
 
 
 @settings(max_examples=15, deadline=None)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from itertools import combinations
 
-from oracles import check_universe_elementwise
+from oracles import check_universe_elementwise, elements_over
 from tangletree.distinguish import build_efficient_nested_set
 from tangletree.errors import (HypothesisFailure, NonDistributive, NotInSystem,
                                ParseError)
@@ -281,7 +281,7 @@ def test_near_max_star_above_sigma():
     G = bridged_cliques(4)
     S = enumerate_separations(G, 2)
     Tk = CoverFamily(G, 2, stars_only=True)
-    F = StarFamily(set(Tk.elements_over(S)) | set(t_prime(S).elements),
+    F = StarFamily(elements_over(Tk, S) | set(t_prime(S).elements),
                    tag="Tkstars+Tprime")
     ts = f_tangles(S, F)
     assert len(ts) == 2
@@ -328,7 +328,7 @@ def _graph_instance_k2():
     G = bridged_cliques(4)
     S = enumerate_separations(G, 2)
     Tk = CoverFamily(G, 2, stars_only=True)
-    F = StarFamily(set(Tk.elements_over(S)) | set(t_prime(S).elements),
+    F = StarFamily(elements_over(Tk, S) | set(t_prime(S).elements),
                    tag="Tkstars+Tprime")
     ts = f_tangles(S, F)
     return G, S, F, ts
