@@ -67,20 +67,14 @@ def cmd_tangles(args):
 
 def _premise(args, S, F):
     from .distinguish import DistinguisherTable, build_efficient_nested_set
-    from .tangles import distinguishes
     from .trees import NestedSet
     ts = _tangles_of(S, F, args.family)
     if len(ts) < 2:
         return ts, NestedSet(S, []), {}
     Nt = build_efficient_nested_set(ts, S)
     table = DistinguisherTable(ts)
-    notes = {}
-    for s in Nt:
-        for (i, j) in table.pairs():
-            m = table[(i, j)]["min_order"]
-            if m == s.order and distinguishes(s, ts[i], ts[j]):
-                notes[s] = (i, j)
-                break
+    # build_efficient_nested_set certifies every member efficient
+    notes = {s: table.efficient_pair(s) for s in Nt}
     return ts, Nt, notes
 
 

@@ -23,7 +23,10 @@ from itertools import combinations
 
 from .errors import NotACover, TooLarge, VerificationFailed
 from .seps import OrientedSeparation, canonical
-from .tangles import same_separation
+from .tangles import _backtrack_orientations, same_separation
+
+# search nodes one cover_triple call may visit before it raises TooLarge
+COVER_SEARCH_BUDGET = 500000
 
 
 class BaseTangle:
@@ -157,30 +160,21 @@ class CliqueCover:
         bases = self.base_separations()
         if 3 * (self.k - 1) >= self.G.n:
             raise TooLarge("three small sides could cover all %d vertices" % self.G.n)
-        found = []
 
-        def rec(i, chosen):
-            if i == len(bases):
-                if not self.cover_triple(chosen):
-                    found.append(BaseTangle(self, frozenset(chosen)))
-                return
-            for cand in (bases[i], bases[i].inv):
-                if any(self._padded_inconsistent(cand, c) for c in chosen):
-                    continue
-                chosen.append(cand)
-                rec(i + 1, chosen)
-                chosen.pop()
+        def prune(chosen, y):
+            return any(self._padded_inconsistent(y, c) for c in chosen)
 
-        rec(0, [])
-        return found
+        return [BaseTangle(self, chosen)
+                for chosen in _backtrack_orientations(bases, prune)
+                if not self.cover_triple(chosen)]
 
-    def cover_triple(self, members, budget=500000):
+    def cover_triple(self, members):
         """A covering set of at most three members drawn from the padded
         copies of `members` and small separations, or None."""
         props = sorted(members, key=lambda s: s.sort_key)
         for take in range(1, 4):
             for combo in combinations(props, take):
-                hit = self._cover_search(list(combo), 3 - take, budget)
+                hit = self._cover_search(list(combo), 3 - take)
                 if hit is not None:
                     return hit
         return None
@@ -202,7 +196,7 @@ class CliqueCover:
                 return False
         return True
 
-    def _cover_search(self, chosen, wilds, budget):
+    def _cover_search(self, chosen, wilds):
         """Exact search for pads and small sides completing a cover."""
         G, k = self.G, self.k
         sides = [set(s.A) for s in chosen]
@@ -251,8 +245,8 @@ class CliqueCover:
 
         def rec(edges):
             state["nodes"] += 1
-            if state["nodes"] > budget:
-                raise TooLarge("cover search exceeded %d nodes" % budget)
+            if state["nodes"] > COVER_SEARCH_BUDGET:
+                raise TooLarge("cover search exceeded %d nodes" % COVER_SEARCH_BUDGET)
             edges = [e for e in edges if not satisfied(e)]
             left = [v for v in missing if not satisfied((v,))]
             if not edges and not left:

@@ -31,6 +31,15 @@ class DistinguisherTable:
             i, j = j, i
         return self.table[(i, j)]
 
+    def efficient_pair(self, s):
+        """The first pair (i, j) that s distinguishes at the pair's minimum
+        order, or None."""
+        for (i, j) in self.pairs():
+            if (self.table[(i, j)]["min_order"] == s.order
+                    and distinguishes(s, self.tangles[i], self.tangles[j])):
+                return i, j
+        return None
+
 
 def _orient_into(t, P):
     """The orientation of t lying in P, or None."""
@@ -110,13 +119,7 @@ def verify_premise(N, tangles):
             report["distinguishes_all"] = False
             report["witnesses"].setdefault("undistinguished", (i, j))
     for s in N:
-        eff = False
-        for (i, j) in table.pairs():
-            m = table[(i, j)]["min_order"]
-            if m is not None and s.order == m and distinguishes(s, ts[i], ts[j]):
-                eff = True
-                break
-        if not eff:
+        if table.efficient_pair(s) is None:
             report["each_member_efficient"] = False
             report["witnesses"].setdefault("inefficient", s)
         good, _ = is_good(s, ts)

@@ -75,13 +75,11 @@ def cycle_graph(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def glue_cliques(blocks, extra_edges=()):
-    """Union of cliques on the given vertex sets plus extra edges."""
+def glue_cliques(blocks):
+    """Union of cliques on the given vertex sets."""
     verts = set()
     for b in blocks:
         verts |= set(b)
-    for e in extra_edges:
-        verts |= set(e)
     n = max(verts) + 1
     edges = set()
     for b in blocks:
@@ -89,7 +87,6 @@ def glue_cliques(blocks, extra_edges=()):
         for i in range(len(b)):
             for j in range(i + 1, len(b)):
                 edges.add((b[i], b[j]))
-    edges |= {tuple(sorted(e)) for e in extra_edges}
     return Graph(n, edges)
 
 

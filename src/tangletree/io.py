@@ -8,9 +8,9 @@ produced by a seeded run.
 
 import json
 
-from .errors import NotInSystem, ParseError
+from .errors import CrossingEdge, NotACover, NotInSystem, ParseError
 from .graphs import Graph
-from .seps import OrientedSeparation, SeparationSystem, canonical
+from .seps import SeparationSystem, separation
 from .tangles import Orientation, StarFamily
 from .trees import NestedSet, TreeDecomposition
 
@@ -34,7 +34,7 @@ def _load(path, expect):
     return obj
 
 
-def _header(fmt, seed=None):
+def _header(fmt, seed):
     out = {"format": fmt}
     if seed is not None:
         out["seed"] = int(seed)
@@ -50,8 +50,14 @@ def _sep_out(s):
 
 
 def _sep_in(G, pair):
-    A, B = pair
-    return OrientedSeparation(G, frozenset(A), frozenset(B))
+    """The separation of G that an [A, B] pair of vertex lists names."""
+    if not (isinstance(pair, list) and len(pair) == 2 and all(map(_ints, pair))):
+        raise ParseError("a separation must be a pair [A, B] of vertex lists, got %r"
+                         % (pair,))
+    try:
+        return separation(G, pair[0], pair[1])
+    except (NotACover, CrossingEdge) as e:
+        raise ParseError("%r is not a separation: %s" % (pair, e))
 
 
 def _list(obj, key):
@@ -59,6 +65,10 @@ def _list(obj, key):
     if not isinstance(value, list):
         raise ParseError("%r is missing or not a list" % (key,))
     return value
+
+
+def _ints(row):
+    return isinstance(row, list) and all(type(v) is int for v in row)
 
 
 # ------------------------------------------------------------------- graphs
@@ -76,14 +86,7 @@ def load_graph(path):
     with open(path) as f:
         text = f.read()
     if text.lstrip().startswith("{"):
-        obj = _load(path, "graph")
-        n, edges = obj.get("n"), _list(obj, "edges")
-        if type(n) is not int or n < 0:
-            raise ParseError("graph 'n' must be a non-negative integer")
-        if not all(isinstance(e, list) and len(e) == 2
-                   and all(type(v) is int for v in e) for e in edges):
-            raise ParseError("graph 'edges' must be pairs of integers")
-        return _graph(n, edges)
+        return _json_graph(_load(path, "graph"), "edges")
     edges = []
     for line in text.splitlines():
         line = line.split("#")[0].strip()
@@ -100,6 +103,16 @@ def load_graph(path):
     if not edges:
         raise ParseError("empty edge list")
     return _graph(max(v for e in edges for v in e) + 1, edges)
+
+
+def _json_graph(obj, edges_key):
+    """The graph of a JSON object's "n" and its edge list under edges_key."""
+    n, edges = obj.get("n"), _list(obj, edges_key)
+    if type(n) is not int or n < 0:
+        raise ParseError("graph 'n' must be a non-negative integer")
+    if not all(_ints(e) and len(e) == 2 for e in edges):
+        raise ParseError("graph %r must be pairs of integers" % (edges_key,))
+    return _graph(n, edges)
 
 
 def _graph(n, edges):
@@ -120,17 +133,15 @@ def save_system(S, path, seed=None):
     return _dump(obj, path)
 
 
-def load_system(path, G=None):
+def load_system(path, G):
     obj = _load(path, "separation-system")
-    if G is None:
-        G = Graph(int(obj["n"]), [])
-    oriented = set()
-    for pair in obj["members"]:
-        s = _sep_in(G, pair)
-        oriented.add(s)
-        oriented.add(s.inv)
-    k = obj.get("k")
-    return SeparationSystem(G, oriented, k=None if k is None else int(k))
+    return _system(G, [_sep_in(G, p) for p in _list(obj, "members")], obj.get("k"))
+
+
+def _system(G, reps, k):
+    """The system of G with the given canonical members and the file's k."""
+    return SeparationSystem(G, set(reps) | {s.inv for s in reps},
+                            k=None if k is None else int(k))
 
 
 # ------------------------------------------------------------------ tangles
@@ -151,19 +162,12 @@ def save_tangles(ts, path, seed=None):
     return _dump(obj, path)
 
 
-def load_tangles(path, G=None):
+def load_tangles(path, G):
     obj = _load(path, "tangle-set")
-    if G is None:
-        G = Graph(int(obj["n"]), [])
-    reps = [_sep_in(G, p) for p in obj["separations"]]
-    oriented = set()
-    for s in reps:
-        oriented.add(s)
-        oriented.add(s.inv)
-    k = obj.get("k")
-    S = SeparationSystem(G, oriented, k=None if k is None else int(k))
+    reps = [_sep_in(G, p) for p in _list(obj, "separations")]
+    S = _system(G, reps, obj.get("k"))
     out = []
-    for sides in obj["tangles"]:
+    for sides in _list(obj, "tangles"):
         if len(sides) != len(reps):
             raise ParseError("tangle row length mismatch")
         chosen = {s if b == 0 else s.inv for s, b in zip(reps, sides)}
@@ -184,7 +188,10 @@ def save_star_family(F, path, seed=None):
 
 def load_star_family(path, G):
     obj = _load(path, "star-family")
-    els = [frozenset(_sep_in(G, p) for p in el) for el in _list(obj, "stars")]
+    stars = _list(obj, "stars")
+    if not all(isinstance(el, list) for el in stars):
+        raise ParseError("'stars' must be lists of separations")
+    els = [frozenset(_sep_in(G, p) for p in el) for el in stars]
     return StarFamily(els, tag=obj.get("tag", "user"))
 
 
@@ -221,13 +228,22 @@ def save_tree_decomposition(TD, path, seed=None):
 
 
 def load_tree_decomposition(path):
+    """A malformed graph, node or tree edge is a ParseError."""
     obj = _load(path, "tree-decomposition")
-    G = Graph(int(obj["n"]), [tuple(e) for e in obj["graph_edges"]])
-    nodes = sorted(obj["nodes"], key=lambda d: int(d["id"]))
-    if [int(d["id"]) for d in nodes] != list(range(len(nodes))):
+    G = _json_graph(obj, "graph_edges")
+    nodes = _list(obj, "nodes")
+    if not all(isinstance(d, dict) and type(d.get("id")) is int and _ints(d.get("bag"))
+               for d in nodes):
+        raise ParseError("each node needs an integer 'id' and a 'bag' list of integers")
+    nodes = sorted(nodes, key=lambda d: d["id"])
+    if [d["id"] for d in nodes] != list(range(len(nodes))):
         raise ParseError("node ids must be 0..n-1")
+    edges = _list(obj, "edges")
+    if not all(_ints(e) and len(e) == 2 and all(0 <= v < len(nodes) for v in e)
+               for e in edges):
+        raise ParseError("tree 'edges' must be pairs of node ids")
     bags = [frozenset(d["bag"]) for d in nodes]
-    return TreeDecomposition(G, bags, [tuple(e) for e in obj["edges"]])
+    return TreeDecomposition(G, bags, [tuple(e) for e in edges])
 
 
 # ---------------------------------------------------------------- universes

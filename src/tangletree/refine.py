@@ -6,8 +6,8 @@ import warnings
 from .errors import (EmulationFailure, HypothesisFailure, NotExclusiveAnywhere,
                      OutOfDomain, SearchExhausted, VerificationFailed)
 from .seps import canonical, nested
-from .tangles import (check_star, closely_related, distinguishers, f_tangles,
-                      interior, is_star, star_leq)
+from .tangles import (CoverFamily, check_star, closely_related, distinguishers,
+                      f_tangles, interior, is_star, star_leq)
 from .trees import STree, NestedSet, TreeDecomposition, _nodes_structural
 
 
@@ -67,25 +67,6 @@ class _Fragment:
         return out
 
 
-def _family_progress(F, star):
-    """Coverage score used to force progress when a star only grows."""
-    if hasattr(F, "G"):
-        covered_v = frozenset()
-        for s in star:
-            covered_v = covered_v | s.A
-        covered_e = set()
-        for s in star:
-            covered_e |= F.G.induced_edges(s.A)
-        return (len(covered_v), len(covered_e))
-    return None
-
-
-def family_is_element(F, star):
-    if hasattr(F, "_is_element"):
-        return F._is_element(set(star))
-    return frozenset(star) in F.elements
-
-
 def _cover_parts(sigma, F):
     """Carving parts: sigma members, uncovered edges, padding singletons.
 
@@ -115,7 +96,11 @@ def _cover_parts(sigma, F):
     return parts
 
 
-def _carve_cover(sigma, F, S, budget):
+# expansions each search of refine_inessential may make (SearchExhausted)
+MAX_EXPANSIONS = 20000
+
+
+def _carve_cover(sigma, F, S):
     """Fragment (stars, edges, alpha) whose non-sigma leaves lie in F.
 
     Searches for a binary carving of the parts in which every partition
@@ -148,7 +133,7 @@ def _carve_cover(sigma, F, S, budget):
         return OrientedSeparation(G, A, B)
 
     fail = set()
-    left = [budget]
+    left = [MAX_EXPANSIONS]
 
     def splits(idx):
         lst = sorted(idx)
@@ -245,21 +230,20 @@ def _carve_cover(sigma, F, S, budget):
     return stars, edges, alpha
 
 
-def _split_search(sigma, F, S, max_expansions):
+def _split_search(sigma, F, S):
     """Backtracking split search for explicit star families."""
     all_oriented = sorted(S, key=lambda x: x.sort_key)
     memo_fail = set()
-    budget = [max_expansions]
+    budget = [MAX_EXPANSIONS]
 
     def build(node, used):
-        if family_is_element(F, node):
+        if node in F:
             return _Fragment(node)
         if node in memo_fail:
             return None
         if budget[0] <= 0:
             raise SearchExhausted("refinement search budget exhausted")
         budget[0] -= 1
-        prog = _family_progress(F, node)
         cands = []
         for u in all_oriented:
             cu = canonical(u)
@@ -280,16 +264,13 @@ def _split_search(sigma, F, S, max_expansions):
             n2 = frozenset(rest) | {u}
             if n1 == node or n2 == node:
                 continue
-            if n2 > node and prog is not None and not _family_progress(F, n2) > prog:
-                continue
             if not is_star(n1) or not is_star(n2):
                 continue
             cands.append((u, n1, n2))
 
         def score(c):
             u, n1, n2 = c
-            return (-int(family_is_element(F, n1)) - int(family_is_element(F, n2)),
-                    u.order, u.sort_key)
+            return (-int(n1 in F) - int(n2 in F), u.order, u.sort_key)
 
         cands.sort(key=score)
         for u, n1, n2 in cands:
@@ -310,14 +291,15 @@ def _split_search(sigma, F, S, max_expansions):
     return frag.stars, frag.edges, frag.alpha
 
 
-def refine_inessential(sigma, F, S, tangles, max_expansions=20000):
+def refine_inessential(sigma, F, S, tangles):
     """S-tree over F plus the singleton inverses of sigma's members, with each
     member of sigma a leaf separation and every internal star in F.
 
     Cover families get a carving search over the uncovered region; explicit
     star families get a backtracking split search.  SearchExhausted means the
     budget ran out, which callers treat as a failure (the underlying lemma
-    guarantees existence under the hypotheses).
+    guarantees existence under the hypotheses); each search may expand
+    MAX_EXPANSIONS nodes.
     """
     sigma = check_star(sigma)
     ts = list(tangles)
@@ -328,12 +310,12 @@ def refine_inessential(sigma, F, S, tangles, max_expansions=20000):
             raise HypothesisFailure(
                 "%r has no tangle closely related to its inverse" % (s,))
 
-    if family_is_element(F, sigma) and sigma:
+    if sigma in F and sigma:
         stars, edges, alpha = [sigma], [], {}
-    elif hasattr(F, "_covers"):
-        stars, edges, alpha = _carve_cover(sigma, F, S, max_expansions)
+    elif isinstance(F, CoverFamily):
+        stars, edges, alpha = _carve_cover(sigma, F, S)
     else:
-        stars, edges, alpha = _split_search(sigma, F, S, max_expansions)
+        stars, edges, alpha = _split_search(sigma, F, S)
     stars = list(stars)
     edges = list(edges)
     alpha = dict(alpha)
@@ -357,7 +339,7 @@ def refine_inessential(sigma, F, S, tangles, max_expansions=20000):
     for i, st in enumerate(tree.stars):
         if st in ({frozenset({s.inv}) for s in sigma}) and deg.get(i, 0) == 1:
             continue
-        if not family_is_element(F, st):
+        if st not in F:
             raise VerificationFailed("internal star not in the family: %r" % (sorted(st),))
     return tree
 
@@ -382,8 +364,8 @@ def min_order_extension(s, P):
     return s2
 
 
-def nested_replacement(r, sigma, P, floor=None):
-    """r' in P of order <= |r|, nested with sigma, above the optional floor.
+def nested_replacement(r, sigma, P):
+    """r' in P of order <= |r|, nested with sigma.
 
     Corner descent: replace r' by r' ^ t.inv for a crossing t in sigma while
     that lowers the crossing count.
@@ -391,8 +373,6 @@ def nested_replacement(r, sigma, P, floor=None):
     if r not in P:
         raise HypothesisFailure("r must lie in P")
     sigma = check_star(sigma)
-    if floor is not None and not floor.leq(r):
-        raise HypothesisFailure("floor must satisfy floor <= r")
     cur = r
     while True:
         crossing = sorted((t for t in sigma if not nested(cur, t)),
@@ -403,8 +383,6 @@ def nested_replacement(r, sigma, P, floor=None):
         for t in crossing:
             cand = cur.meet(t.inv)
             if cand not in P.system or cand not in P or cand.order > r.order:
-                continue
-            if floor is not None and not floor.leq(cand):
                 continue
             after = sum(1 for x in sigma if not nested(cand, x))
             if after < len(crossing):
@@ -643,7 +621,7 @@ def theorem_1_2(G, k, F, N_tilde, tangles=None):
         if len(owners) > 1:
             raise VerificationFailed("node home to several tangles")
         if not owners:
-            if t in from_essential and family_is_element(F, st):
+            if t in from_essential and st in F:
                 status[t] = "inessential"
                 continue
             tree = refine_inessential(st, F, S, ts)
@@ -659,7 +637,7 @@ def theorem_1_2(G, k, F, N_tilde, tangles=None):
                           if i < n_internal and j < n_internal}
             new_ids = splice(t, frag_stars, frag_alpha, boundary)
             for i in new_ids:
-                if not family_is_element(F, stars[i]):
+                if stars[i] not in F:
                     raise VerificationFailed("spliced star %r is not in F" % (sorted(stars[i]),))
                 status[i] = "inessential"
         else:
@@ -719,6 +697,6 @@ def theorem_1_2(G, k, F, N_tilde, tangles=None):
     if not ok:
         raise VerificationFailed("refined bags are not a tree-decomposition: %r" % (w,))
     for i in range(len(final_stars)):
-        if status[order[i]] == "inessential" and not family_is_element(F, final_stars[i]):
+        if status[order[i]] == "inessential" and final_stars[i] not in F:
             raise VerificationFailed("inessential node %r is not in F" % (sorted(final_stars[i]),))
     return N, TD

@@ -92,6 +92,8 @@ def _check_ground(a, b):
 def separation(G, A, B):
     """Validate and build the oriented separation (A,B) of G."""
     A, B = frozenset(A), frozenset(B)
+    if not A | B <= G.vertices:
+        raise NotACover("vertices %s are not in the graph" % sorted((A | B) - G.vertices))
     if A | B != G.vertices:
         raise NotACover("A u B misses vertices %s" % sorted(G.vertices - (A | B)))
     onlyA, onlyB = A - B, B - A

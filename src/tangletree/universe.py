@@ -14,6 +14,11 @@ from .tangles import (StarFamily, check_star, check_star_family,
                       closely_related, distinguishes, f_tangles, is_good,
                       is_star, regular_profiles, star_leq)
 
+# vertex cap of the graph-backed universes: of_graph and bipartitions
+UNIVERSE_CAP = 8
+# proper members of a profile beyond which its stars are not enumerated
+STAR_CAP = 20
+
 
 class UniverseElement:
     """Element of a table-driven universe; implements the separation protocol.
@@ -146,18 +151,18 @@ class Universe:
         return self
 
     @classmethod
-    def of_graph(cls, G, max_vertices=8):
+    def of_graph(cls, G):
         """All oriented separations of G, of every order."""
-        if G.n > max_vertices:
-            raise TooLarge("|V|=%d exceeds the universe cap %d" % (G.n, max_vertices))
-        S = enumerate_separations(G, G.n + 1, max_vertices=max_vertices)
+        if G.n > UNIVERSE_CAP:
+            raise TooLarge("|V|=%d exceeds the universe cap %d" % (G.n, UNIVERSE_CAP))
+        S = enumerate_separations(G, G.n + 1)
         return cls(S.oriented, "graph-separations")
 
     @classmethod
-    def bipartitions(cls, ground_size, max_size=8):
+    def bipartitions(cls, ground_size):
         """All pairs (A,B) with A u B the ground set, ordered by |A n B|."""
         from .graphs import Graph
-        u = cls.of_graph(Graph(ground_size, []), max_vertices=max_size)
+        u = cls.of_graph(Graph(ground_size, []))
         u.backend = "set-bipartitions-with-order-function"
         return u
 
@@ -176,8 +181,8 @@ class Universe:
                 return x
         raise NotInSystem("no element named %r" % (name,))
 
-    def system(self, members=None, k=None):
-        return AbstractSystem(self, self._elements if members is None else members, k=k)
+    def system(self, members=None):
+        return AbstractSystem(self, self._elements if members is None else members)
 
     def report(self):
         """The `check_universe` report, computed on first use."""
@@ -211,12 +216,12 @@ class AbstractSystem(SeparationSystem):
 
     __slots__ = ("universe", "submodular")
 
-    def __init__(self, universe, members, k=None):
+    def __init__(self, universe, members):
         members = frozenset(members)
         for s in members:
             if s not in universe:
                 raise NotInSystem("%r is not an element of the universe" % (s,))
-        super().__init__(universe, members, k=k)
+        super().__init__(universe, members)
         self.universe = universe
         lst = sorted(members, key=lambda x: x.sort_key)
         sub = True
@@ -583,18 +588,25 @@ def near_max_star(sigma, P, tangles=None):
     return sp
 
 
-def maximal_star_above(sigma, P, cap=20):
-    """A star in P maximal in the star order with sigma <= it, by enumeration."""
+def _profile_stars(P):
+    """An iterator over the stars of proper members of P; TooLarge at once
+    when P has more than STAR_CAP proper members."""
     from .refine import enumerate_stars, proper_members
     props = proper_members(P)
-    if len(props) > cap:
+    if len(props) > STAR_CAP:
         raise TooLarge("%d proper members exceed the enumeration cap %d"
-                       % (len(props), cap))
+                       % (len(props), STAR_CAP))
+    return enumerate_stars(props)
+
+
+def maximal_star_above(sigma, P):
+    """A star in P maximal in the star order with sigma <= it, by enumeration."""
+    stars = sorted(_profile_stars(P),
+                   key=lambda st: (len(st), sorted(s.sort_key for s in st)))
     cur = frozenset(s for s in sigma if not s.is_small and not s.is_degenerate)
     while True:
         nxt = None
-        for st in sorted(enumerate_stars(props),
-                         key=lambda st: (len(st), sorted(s.sort_key for s in st))):
+        for st in stars:
             if star_leq(cur, st) and not star_leq(st, cur):
                 nxt = st
                 break
@@ -603,27 +615,17 @@ def maximal_star_above(sigma, P, cap=20):
         cur = nxt
 
 
-def is_maximal_star(st, P, cap=20):
+def is_maximal_star(st, P):
     """(flag, witness): no star in P strictly greater in the star order."""
-    from .refine import enumerate_stars, proper_members
-    props = proper_members(P)
-    if len(props) > cap:
-        raise TooLarge("%d proper members exceed the enumeration cap %d"
-                       % (len(props), cap))
-    for tau in enumerate_stars(props):
+    for tau in _profile_stars(P):
         if star_leq(st, tau) and not star_leq(tau, st):
             return False, tau
     return True, None
 
 
-def max_and_closely_related_report(P, cap=20):
+def max_and_closely_related_report(P):
     """Whether some maximal star in P is closely related to P (recorded data)."""
-    from .refine import enumerate_stars, proper_members
-    props = proper_members(P)
-    if len(props) > cap:
-        raise TooLarge("%d proper members exceed the enumeration cap %d"
-                       % (len(props), cap))
-    stars = [st for st in enumerate_stars(props)]
+    stars = list(_profile_stars(P))
     for st in sorted(stars, key=lambda st: (-len(st), sorted(s.sort_key for s in st))):
         if any(star_leq(st, tau) and not star_leq(tau, st) for tau in stars):
             continue
@@ -638,7 +640,6 @@ def max_and_closely_related_report(P, cap=20):
 def _require_friendly(S, F):
     """The premises on F of the essential refinement: F is a friendly star
     family over S and contains every non-degenerate member of T'."""
-    from .refine import family_is_element
     fam = check_star_family(F, S)
     if not (fam["all_stars"] and fam["standard"]
             and fam["contains_inverse_of_smalls"]):
@@ -646,12 +647,11 @@ def _require_friendly(S, F):
     for el in t_prime(S):
         if any(x.is_degenerate for x in el):
             continue
-        if not family_is_element(F, el):
+        if el not in F:
             raise HypothesisFailure("T' is not contained in F: %r" % (sorted(el),))
 
 
-def refine_essential_abstract(sigma, P, F, tangles=None, max_expansions=20000,
-                              cap=20):
+def refine_essential_abstract(sigma, P, F, tangles):
     """S-tree refining the essential star sigma up to a maximal star in P.
 
     The tree lies over F plus the maximal cap star plus the singleton
@@ -659,16 +659,14 @@ def refine_essential_abstract(sigma, P, F, tangles=None, max_expansions=20000,
     """
     S = P.system
     sigma = check_star(sigma)
-    if tangles is None:
-        tangles = f_tangles(S, F)
     _require_friendly(S, F)
-    return _refine_essential(sigma, P, F, list(tangles), max_expansions, cap)
+    return _refine_essential(sigma, P, F, list(tangles))
 
 
-def _refine_essential(sigma, P, F, ts, max_expansions, cap):
+def _refine_essential(sigma, P, F, ts):
     """refine_essential_abstract for a checked star sigma and an F that
     `_require_friendly` has accepted."""
-    from .refine import family_is_element, refine_inessential
+    from .refine import refine_inessential
     from .trees import NestedSet, nodes, to_stree
     S = P.system
     owners = [Q for Q in ts if all(s in Q for s in sigma)]
@@ -679,7 +677,7 @@ def _refine_essential(sigma, P, F, ts, max_expansions, cap):
             raise HypothesisFailure("sigma member %r is not good" % (s,))
 
     sp = near_max_star(sigma, P, tangles=ts)
-    spp = maximal_star_above(sp, P, cap=cap)
+    spp = maximal_star_above(sp, P)
     # near-maximality puts every node between the two stars into F directly;
     # nodes home to a tangle and the sigma leaves bounding the tree are exempt
     proper_sp = frozenset(s for s in sp if not s.is_small and not s.is_degenerate)
@@ -690,7 +688,7 @@ def _refine_essential(sigma, P, F, ts, max_expansions, cap):
             continue
         if node in leaf_allowed:
             continue
-        if not family_is_element(F, node):
+        if node not in F:
             raise VerificationFailed(
                 "cap node %r escaped F despite near-maximality" % (sorted(node),))
 
@@ -700,9 +698,9 @@ def _refine_essential(sigma, P, F, ts, max_expansions, cap):
             continue
         if node in leaf_allowed:
             continue
-        if family_is_element(F, node):
+        if node in F:
             continue
-        sub = refine_inessential(node, F, S, ts, max_expansions)
+        sub = refine_inessential(node, F, S, ts)
         members |= {canonical(x) for x in sub.separations()}
 
     tree = to_stree(NestedSet(S, members))
@@ -715,15 +713,15 @@ def _refine_essential(sigma, P, F, ts, max_expansions, cap):
             continue
         if st in leaf_allowed:
             continue
-        if not family_is_element(F, st):
+        if st not in F:
             raise VerificationFailed("refined node %r is not in F" % (sorted(st),))
     return tree
 
 
-def theorem_1_3(S, F, N_tilde, tangles=None, max_expansions=20000, cap=20):
+def theorem_1_3(S, F, N_tilde, tangles=None):
     """Refine N_tilde so inessential nodes lie in F and essential nodes are
     maximal stars in their tangles; requires a distributive universe."""
-    from .refine import family_is_element, refine_inessential
+    from .refine import refine_inessential
     from .trees import NestedSet, nodes
     probe = next(iter(S), None)
     if (isinstance(probe, UniverseElement)
@@ -746,9 +744,9 @@ def theorem_1_3(S, F, N_tilde, tangles=None, max_expansions=20000, cap=20):
     for node in nodes(NestedSet(S, members)):
         if any(all(x in Q for x in node) for Q in ts):
             continue
-        if family_is_element(F, node):
+        if node in F:
             continue
-        sub = refine_inessential(node, F, S, ts, max_expansions)
+        sub = refine_inessential(node, F, S, ts)
         members |= {canonical(x) for x in sub.separations()}
 
     if ts:
@@ -758,7 +756,7 @@ def theorem_1_3(S, F, N_tilde, tangles=None, max_expansions=20000, cap=20):
                 if all(x in P for x in node)]
         if len(home) != 1:
             raise VerificationFailed("tangle is home to %d nodes" % len(home))
-        tree = _refine_essential(check_star(home[0]), P, F, ts, max_expansions, cap)
+        tree = _refine_essential(check_star(home[0]), P, F, ts)
         members |= {canonical(x) for x in tree.separations()}
 
     N = NestedSet(S, members)
@@ -768,7 +766,7 @@ def theorem_1_3(S, F, N_tilde, tangles=None, max_expansions=20000, cap=20):
         owners = [Q for Q in ts if all(x in Q for x in node)]
         if owners:
             try:
-                ok, w = is_maximal_star(node, owners[0], cap=cap)
+                ok, w = is_maximal_star(node, owners[0])
             except TooLarge:
                 warnings.warn("essential-node maximality left uncertified "
                               "(profile too large to enumerate)")
@@ -776,7 +774,7 @@ def theorem_1_3(S, F, N_tilde, tangles=None, max_expansions=20000, cap=20):
             if not ok:
                 raise VerificationFailed(
                     "essential node %r is exceeded by %r" % (sorted(node), sorted(w)))
-        elif not family_is_element(F, node):
+        elif node not in F:
             raise VerificationFailed(
                 "inessential node %r is not in F" % (sorted(node),))
     return N

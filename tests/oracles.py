@@ -54,7 +54,7 @@ def elements_over(F, S):
     out = set()
     for r in range(1, 4):
         for c in combinations(lst, r):
-            if F._is_element(set(c)):
+            if set(c) in F:
                 out.add(frozenset(c))
     return out
 
@@ -91,7 +91,7 @@ def nodes_by_orientation(N):
 
     sub = SeparationSystem(N.system.ground, frozenset(N.oriented()))
     stars = set()
-    for chosen in _backtrack_orientations(sub, prune):
+    for chosen in _backtrack_orientations(sub.unoriented(), prune):
         stars.add(frozenset(
             s for s in chosen
             if not any(not same_separation(s, t) and s.leq(t) and s != t for t in chosen)))

@@ -175,7 +175,6 @@ def test_criterion_5_abstract_property_suite():
             _certify_profile(P)
     # a graph instance of the essential-node refinement (k = 2 keeps the
     # needed corners outside the system, so tangles survive the big family)
-    from tangletree.refine import family_is_element
     from tangletree.tangles import StarFamily
     from tangletree.universe import t_prime
     G = bridged_cliques(4)

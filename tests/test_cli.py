@@ -6,7 +6,7 @@ import pytest
 
 from tangletree import cli
 from tangletree.examples import bridged_cliques
-from tangletree.graphs import complete_graph
+from tangletree.graphs import complete_graph, path_graph
 from tangletree.io import (save_graph, save_tree_decomposition, save_universe)
 from tangletree.trees import TreeDecomposition
 from tangletree.universe import random_distributive_universe
@@ -176,6 +176,44 @@ def test_malformed_graph_is_input_error(tmp_path, obj):
     p.write_text(json.dumps(dict(obj, format="graph")))
     assert cli.run(["tangles", "--graph", str(p), "--k", "2",
                     "--out", str(tmp_path / "run")]) == 2
+
+
+_TD = {"format": "tree-decomposition", "n": 2, "graph_edges": [[0, 1]],
+       "nodes": [{"id": 0, "bag": [0, 1]}], "edges": []}
+
+
+@pytest.mark.parametrize("edit", [
+    {"n": None},
+    {"graph_edges": [[0, 1], [1, 1]]},
+    {"nodes": [{"bag": [0, 1]}]},
+    {"nodes": [{"id": 0}]},
+    {"edges": [[0, 3]]},
+], ids=["n-missing", "self-loop", "node-without-id", "node-without-bag",
+        "edge-to-missing-node"])
+def test_malformed_tree_decomposition_is_input_error(tmp_path, edit):
+    graph, td = tmp_path / "g.json", tmp_path / "td.json"
+    graph.write_text(json.dumps({"format": "graph", "n": 2, "edges": [[0, 1]]}))
+    td.write_text(json.dumps({key: value for key, value in dict(_TD, **edit).items()
+                              if value is not None}))
+    out = str(tmp_path / "run")
+    assert cli.run(["export-dot", "--td", str(td), "--out", out]) == 2
+    assert cli.run(["verify", "--graph", str(graph), "--k", "2",
+                    "--td", str(td), "--out", out]) == 2
+
+
+@pytest.mark.parametrize("star,fault", [
+    ([[[0, 1]]], "pair [A, B]"),
+    ([[[0, 1, 9], [1, 2, 3]]], "[9] are not in the graph"),
+    ([[[0, 1], [2, 3]]], "edge [1, 2] crosses"),
+], ids=["one-side", "vertex-outside-graph", "crossing-edge"])
+def test_malformed_family_file_is_input_error(tmp_path, capsys, star, fault):
+    graph, fam = tmp_path / "p4.json", tmp_path / "f.json"
+    save_graph(path_graph(4), graph)
+    fam.write_text(json.dumps({"format": "star-family", "stars": [star]}))
+    assert cli.run(["tangles", "--graph", str(graph), "--k", "2",
+                    "--family", "file:" + str(fam),
+                    "--out", str(tmp_path / "run")]) == 2
+    assert fault in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,k", [("blocks", "0"), ("blocks", "-1"),

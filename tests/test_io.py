@@ -63,7 +63,7 @@ def test_format_tag_is_checked(tmp_path, twin):
     p = tmp_path / "g.json"
     save_graph(G, p)
     with pytest.raises(ParseError):
-        load_system(p)
+        load_system(p, G)
     p.write_text("not json")
     with pytest.raises(ParseError):
         load_graph(p)

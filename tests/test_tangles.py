@@ -1,5 +1,8 @@
 """Orientations, profiles, F-tangles and the goodness relation."""
 
+import inspect
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +35,21 @@ def test_known_tangle_counts():
     _tangle_counts(bridged_cliques(4), 3, 2)
     # one 2-tangle per edge of the path (its four 2-blocks)
     _tangle_counts(path_graph(5), 2, 4)
+
+
+def test_search_leaves_the_recursion_limit_alone():
+    # 52 non-degenerate members, each one level deeper in a recursive search
+    G = bridged_cliques(4)
+    S = enumerate_separations(G, 3)
+    assert sum(1 for s in S.unoriented() if not s.is_degenerate) == 52
+    old = sys.getrecursionlimit()
+    limit = len(inspect.stack()) + 50
+    sys.setrecursionlimit(limit)
+    try:
+        assert len(f_tangles(S, CoverFamily(G, 3))) == 2
+        assert sys.getrecursionlimit() == limit
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def test_tangles_are_regular_profiles():

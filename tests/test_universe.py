@@ -340,14 +340,13 @@ def test_theorem_1_3_on_twin_cliques():
     Nt = build_efficient_nested_set(ts, S)
     N = theorem_1_3(S, F, Nt, tangles=ts)
     assert Nt.members <= N.members
-    from tangletree.refine import family_is_element
     for node in nodes(N):
         owners = [P for P in ts if all(x in P for x in node)]
         if owners:
             ok, wit = is_maximal_star(node, owners[0])
             assert ok, wit
         else:
-            assert family_is_element(F, node)
+            assert node in F
 
 
 @pytest.mark.parametrize("seed", range(6))
