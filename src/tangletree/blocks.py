@@ -2,9 +2,10 @@
 
 from itertools import combinations
 
+from .distinguish import DistinguisherTable
 from .graphs import min_vertex_cut_size
-from .seps import OrientedSeparation, canonical, separation
-from .tangles import is_profile, is_regular, Orientation, check_star, interior
+from .seps import OrientedSeparation, canonical
+from .tangles import Orientation, check_star, distinguishes, interior
 
 
 class Block:
@@ -159,23 +160,20 @@ def verify_theorem_4_8(G, k, TD, tangles):
     every separable k-block appears as a part.  Parts of size exactly 3k-3
     carry no claim and are not flagged.
     """
-    from .tangles import distinguishers, distinguishes
-    ts = list(tangles)
+    table = DistinguisherTable.of(tangles)
+    ts = table.tangles
     report = {"efficient": True, "big_parts": True, "blocks_are_parts": True,
               "witnesses": {}, "parts": []}
     induced = TD.induced_separations()
     seps = {canonical(s) for s in induced.values()}
-    for i in range(len(ts)):
-        for j in range(i + 1, len(ts)):
-            _, eff = distinguishers(ts[i], ts[j])
-            if not eff:
-                report["efficient"] = False
-                report["witnesses"].setdefault("indistinguishable", (i, j))
-                continue
-            m = eff[0].order
-            if not any(s.order == m and distinguishes(s, ts[i], ts[j]) for s in seps):
-                report["efficient"] = False
-                report["witnesses"].setdefault("inefficient_pair", (i, j))
+    for (i, j) in table.pairs():
+        m = table[(i, j)]["min_order"]
+        if m is None:
+            report["efficient"] = False
+            report["witnesses"].setdefault("indistinguishable", (i, j))
+        elif not any(s.order == m and distinguishes(s, ts[i], ts[j]) for s in seps):
+            report["efficient"] = False
+            report["witnesses"].setdefault("inefficient_pair", (i, j))
     for t, bag in enumerate(TD.bags):
         entry = {"bag": sorted(bag), "size": len(bag), "claimed": len(bag) > 3 * k - 3,
                  "home": None}

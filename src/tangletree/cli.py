@@ -68,13 +68,12 @@ def cmd_tangles(args):
 def _premise(args, S, F):
     from .distinguish import DistinguisherTable, build_efficient_nested_set
     from .trees import NestedSet
-    ts = _tangles_of(S, F, args.family)
+    ts = DistinguisherTable(_tangles_of(S, F, args.family))
     if len(ts) < 2:
         return ts, NestedSet(S, []), {}
     Nt = build_efficient_nested_set(ts, S)
-    table = DistinguisherTable(ts)
     # build_efficient_nested_set certifies every member efficient
-    notes = {s: table.efficient_pair(s) for s in Nt}
+    notes = {s: ts.efficient_pair(s) for s in Nt}
     return ts, Nt, notes
 
 
@@ -126,6 +125,8 @@ def cmd_verify(args):
 def cmd_blocks(args):
     from .blocks import k_blocks
     G = tio.load_graph(args.graph)
+    if G.n > args.max_vertices:
+        raise TooLarge("|V|=%d exceeds cap %d" % (G.n, args.max_vertices))
     out = []
     for blk in k_blocks(G, args.k):
         out.append({"vertices": sorted(blk.vertices), "separable": blk.separable,

@@ -2,12 +2,13 @@
 
 from .errors import NoTangles, VerificationFailed
 from .seps import canonical, nested
-from .tangles import distinguishers, distinguishes, is_good
+from .tangles import distinguishers, distinguishes
 from .trees import NestedSet
 
 
 class DistinguisherTable:
-    """Per tangle pair: minimum distinguishing order and the efficient list."""
+    """A tangle set with, per tangle pair, the minimum distinguishing order
+    and the efficient distinguishers; iterates over the tangles."""
 
     def __init__(self, tangles):
         self.tangles = list(tangles)
@@ -15,12 +16,20 @@ class DistinguisherTable:
         n = len(self.tangles)
         for i in range(n):
             for j in range(i + 1, n):
-                alls, eff = distinguishers(self.tangles[i], self.tangles[j])
-                self.table[(i, j)] = {
-                    "min_order": eff[0].order if eff else None,
-                    "efficient": eff,
-                    "all": alls,
-                }
+                _, eff = distinguishers(self.tangles[i], self.tangles[j])
+                self.table[(i, j)] = {"min_order": eff[0].order if eff else None,
+                                      "efficient": eff}
+
+    @classmethod
+    def of(cls, tangles):
+        """tangles itself when it already is a table, else its table."""
+        return tangles if isinstance(tangles, cls) else cls(tangles)
+
+    def __iter__(self):
+        return iter(self.tangles)
+
+    def __len__(self):
+        return len(self.tangles)
 
     def pairs(self):
         return sorted(self.table)
@@ -58,10 +67,10 @@ def build_efficient_nested_set(tangles, S):
     oriented into both profiles, which keeps the order minimal and strictly
     lowers the crossing count.
     """
-    ts = list(tangles)
+    table = DistinguisherTable.of(tangles)
+    ts = table.tangles
     if not ts:
         raise NoTangles("no tangles to distinguish")
-    table = DistinguisherTable(ts)
     order_pairs = sorted(
         table.pairs(),
         key=lambda p: (table[p]["min_order"] if table[p]["min_order"] is not None else -1, p))
@@ -101,18 +110,19 @@ def build_efficient_nested_set(tangles, S):
                 raise VerificationFailed("corner replacement did not uncross")
         chosen.append(canonical(s))
     N = NestedSet(S, chosen)
-    report = verify_premise(N, ts)
-    if not all(report[f] for f in ("nested", "distinguishes_all", "each_member_efficient")):
+    report = verify_premise(N, table)
+    if not (report["distinguishes_all"] and report["each_member_efficient"]):
         raise VerificationFailed("post-hoc check failed: %r" % (report,))
     return N
 
 
 def verify_premise(N, tangles):
-    """Premise of the refinement theorems for N and the given tangles."""
-    ts = list(tangles)
-    table = DistinguisherTable(ts)
-    report = {"nested": True, "distinguishes_all": True,
-              "each_member_efficient": True, "each_member_good": True,
+    """Premise of the refinement theorems for N and the given tangles: N
+    distinguishes every pair, and each member efficiently distinguishes one.
+    N is nested by construction."""
+    table = DistinguisherTable.of(tangles)
+    ts = table.tangles
+    report = {"distinguishes_all": True, "each_member_efficient": True,
               "witnesses": {}}
     for (i, j) in table.pairs():
         if not any(distinguishes(s, ts[i], ts[j]) for s in N):
@@ -122,8 +132,4 @@ def verify_premise(N, tangles):
         if table.efficient_pair(s) is None:
             report["each_member_efficient"] = False
             report["witnesses"].setdefault("inefficient", s)
-        good, _ = is_good(s, ts)
-        if not good:
-            report["each_member_good"] = False
-            report["witnesses"].setdefault("not_good", s)
     return report

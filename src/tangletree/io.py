@@ -228,13 +228,17 @@ def save_tree_decomposition(TD, path, seed=None):
 
 
 def load_tree_decomposition(path):
-    """A malformed graph, node or tree edge is a ParseError."""
+    """A malformed graph, node or tree edge, or a bag vertex outside the
+    graph, is a ParseError."""
     obj = _load(path, "tree-decomposition")
     G = _json_graph(obj, "graph_edges")
     nodes = _list(obj, "nodes")
     if not all(isinstance(d, dict) and type(d.get("id")) is int and _ints(d.get("bag"))
                for d in nodes):
         raise ParseError("each node needs an integer 'id' and a 'bag' list of integers")
+    outside = sorted({v for d in nodes for v in d["bag"]} - G.vertices)
+    if outside:
+        raise ParseError("bag vertices %r are not in the graph" % (outside,))
     nodes = sorted(nodes, key=lambda d: d["id"])
     if [d["id"] for d in nodes] != list(range(len(nodes))):
         raise ParseError("node ids must be 0..n-1")

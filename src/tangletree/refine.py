@@ -5,9 +5,10 @@ import warnings
 
 from .errors import (EmulationFailure, HypothesisFailure, NotExclusiveAnywhere,
                      OutOfDomain, SearchExhausted, VerificationFailed)
+from .distinguish import DistinguisherTable, verify_premise
 from .seps import canonical, nested
-from .tangles import (CoverFamily, check_star, closely_related, distinguishers,
-                      f_tangles, interior, is_star, star_leq)
+from .tangles import (CoverFamily, check_star, closely_related, f_tangles,
+                      interior, is_star, star_leq)
 from .trees import STree, NestedSet, TreeDecomposition, _nodes_structural
 
 
@@ -469,24 +470,17 @@ def min_interior_exclusive_star(tau, sigma, tangles):
     for s in sigma:
         if s not in tau:
             raise HypothesisFailure("sigma must be a subset of tau")
-    ts = list(tangles)
+    table = DistinguisherTable.of(tangles)
+    ts = table.tangles
+    for s in sigma:
+        if table.efficient_pair(s) is None:
+            raise HypothesisFailure(
+                "%r does not efficiently distinguish any pair" % (s,))
     pairs = []
     for i, Q in enumerate(ts):
         for Qp in ts[i + 1:]:
             pairs.append((Q, Qp))
             pairs.append((Qp, Q))
-    if sigma:
-        for s in sigma:
-            eff = False
-            for (Q, Qp) in pairs:
-                if s in Q and s.inv in Qp:
-                    _, eff_list = distinguishers(Q, Qp)
-                    if s.order == eff_list[0].order:
-                        eff = True
-                        break
-            if not eff:
-                raise HypothesisFailure(
-                    "%r does not efficiently distinguish any pair" % (s,))
 
     best = None
     best_size = None
@@ -560,11 +554,11 @@ def theorem_1_2(G, k, F, N_tilde, tangles=None):
                 TreeDecomposition(G, [G.vertices], []))
     if tangles is None:
         tangles = f_tangles(S, F)
-    ts = list(tangles)
+    table = DistinguisherTable.of(tangles)
+    ts = table.tangles
 
-    from .distinguish import verify_premise
     if ts:
-        rep = verify_premise(N_tilde, ts)
+        rep = verify_premise(N_tilde, table)
         if not (rep["distinguishes_all"] and rep["each_member_efficient"]):
             raise HypothesisFailure("premise fails: %r" % (rep["witnesses"],))
 
@@ -642,7 +636,7 @@ def theorem_1_2(G, k, F, N_tilde, tangles=None):
                 status[i] = "inessential"
         else:
             tau = owners[0]
-            sig2 = min_interior_exclusive_star(tau, st, ts)
+            sig2 = min_interior_exclusive_star(tau, st, table)
             if sig2 == st:
                 status[t] = "essential"
                 continue

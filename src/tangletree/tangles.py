@@ -1,10 +1,9 @@
 """Orientations, consistency, profiles, F-tangles, stars, closely-related."""
 
-import random
 from itertools import combinations
 
 from .errors import (HypothesisFailure, Indistinct, NotAStar, NotInProfile,
-                     TangletreeError, VerificationFailed)
+                     VerificationFailed)
 from .seps import canonical
 
 
@@ -440,20 +439,15 @@ def guarded_infimum(s, M, assignments):
     return r
 
 
-SHIFT_SAMPLES = 200
-
-
 def check_star_family(F, S):
-    """Empirical friendliness report for an explicit family over S.
-
-    Shift-closure is tested on SHIFT_SAMPLES random draws of (r, s, star)
-    from a fixed seed, so the report is deterministic."""
-    from .refine import ShiftContext
+    """Friendliness report for an explicit family over S: every element is
+    a star (all_stars), {r.inv} is an element for every trivial r in S
+    (standard) and for every small non-degenerate r in S."""
     from .seps import classify
     elements = sorted(
         (el for el in F), key=lambda e: sorted(s.sort_key for s in e))
     report = {"standard": True, "all_stars": True, "contains_inverse_of_smalls": True,
-              "profile_respecting": True, "shift_closed": True, "witnesses": {}}
+              "witnesses": {}}
     for el in elements:
         if not is_star(el):
             report["all_stars"] = False
@@ -471,40 +465,4 @@ def check_star_family(F, S):
             report["contains_inverse_of_smalls"] = False
             report["witnesses"].setdefault("smalls", r)
             break
-    for O in f_tangles(S, StarFamily(fam)):
-        ok, w = is_profile(O)
-        if not ok:
-            report["profile_respecting"] = False
-            report["witnesses"].setdefault("profile", w)
-            break
-    rng = random.Random(0)
-    elems = sorted(S, key=lambda s: s.sort_key)
-    els = sorted(fam, key=lambda e: sorted(s.sort_key for s in e))
-    tried = 0
-    while tried < SHIFT_SAMPLES and els:
-        tried += 1
-        r = rng.choice(elems)
-        s = rng.choice(elems)
-        sigma = rng.choice(els)
-        # only the S-tree shifting situation: r <= s, s emulates r, the star
-        # has exactly one member above r and the rest below r.inv
-        if r == s or s == r.inv or not r.leq(s):
-            continue
-        try:
-            ctx = ShiftContext(S, r, s)
-        except TangletreeError:
-            continue
-        above = [x for x in sigma if r.leq(x)]
-        below = [x for x in sigma if x.leq(r.inv) and not r.leq(x)]
-        if len(above) != 1 or len(above) + len(below) != len(sigma):
-            continue
-        if r.inv in sigma:
-            continue
-        shifted = frozenset(ctx.shift(x) if r.leq(x) else ctx.shift(x.inv).inv
-                            for x in sigma)
-        if len(shifted) != len(sigma) or not is_star(shifted):
-            continue
-        if shifted not in fam:
-            report["shift_closed"] = False
-            report["witnesses"].setdefault("shift", (r, s, sigma, shifted))
     return report

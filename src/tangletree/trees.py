@@ -167,19 +167,29 @@ class TreeDecomposition:
                 out.append(a)
         return out
 
+    def _reach(self, start, within):
+        """Tree vertices reachable from start through vertices in within."""
+        seen = {start}
+        stack = [start]
+        while stack:
+            for w in self._neighbors(stack.pop()):
+                if w in within and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return seen
+
     def _side_nodes(self, i, j):
         """Tree vertices on the i side of edge (i,j)."""
-        seen = {i, j}
-        stack = [i]
-        side = {i}
-        while stack:
-            v = stack.pop()
-            for w in self._neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    side.add(w)
-                    stack.append(w)
-        return side
+        return self._reach(i, set(range(len(self.bags))) - {j})
+
+    def _is_tree(self):
+        """The edges are len(bags) - 1 distinct pairs of distinct bags that
+        connect all of them."""
+        n = len(self.bags)
+        if (len(set(self.edges)) != len(self.edges) or len(self.edges) != n - 1
+                or any(i == j or i < 0 or j >= n for i, j in self.edges)):
+            return False
+        return len(self._reach(0, range(n))) == n
 
     def _side(self, i, j):
         si = self._side_nodes(i, j)
@@ -210,7 +220,9 @@ class TreeDecomposition:
         return frozenset(out)
 
     def is_valid(self):
-        """(ok, witness): vertex+edge cover and connected vertex traces."""
+        """(ok, witness): a tree, vertex+edge cover and connected vertex traces."""
+        if not self._is_tree():
+            return False, ("not-a-tree", self.edges)
         union = frozenset().union(*self.bags) if self.bags else frozenset()
         if union != self.graph.vertices:
             return False, ("uncovered-vertex", sorted(self.graph.vertices - union))
@@ -219,19 +231,7 @@ class TreeDecomposition:
                 return False, ("uncovered-edge", sorted(e))
         for v in self.graph.vertices:
             hosts = {i for i, b in enumerate(self.bags) if v in b}
-            if not hosts:
-                return False, ("uncovered-vertex", v)
-            # connectivity of the host set in the tree
-            start = min(hosts)
-            seen = {start}
-            stack = [start]
-            while stack:
-                a = stack.pop()
-                for b in self._neighbors(a):
-                    if b in hosts and b not in seen:
-                        seen.add(b)
-                        stack.append(b)
-            if seen != hosts:
+            if self._reach(min(hosts), hosts) != hosts:
                 return False, ("disconnected-trace", v)
         return True, None
 
@@ -267,13 +267,10 @@ def validate_td(G, k, TD, tangles):
         return report
     induced = TD.induced_separations()
     report["adhesion"] = max((s.order for s in induced.values()), default=0)
-    ts = list(tangles)
-    from .tangles import distinguishers
-    pair_min = {}
-    for i in range(len(ts)):
-        for j in range(i + 1, len(ts)):
-            _, eff = distinguishers(ts[i], ts[j])
-            pair_min[(i, j)] = eff[0].order if eff else None
+    from .distinguish import DistinguisherTable
+    from .tangles import distinguishes
+    table = DistinguisherTable.of(tangles)
+    ts = table.tangles
     for t in range(len(TD.bags)):
         star = TD.node_star(t)
         owners = [i for i, P in enumerate(ts)
@@ -283,14 +280,13 @@ def validate_td(G, k, TD, tangles):
     distinguished = set()
     for (i, j), sep in sorted(induced.items()):
         eff_for = []
-        for (a, b), m in pair_min.items():
-            from .tangles import distinguishes
+        for (a, b) in table.pairs():
             if sep in ts[a].system and distinguishes(sep, ts[a], ts[b]):
                 distinguished.add((a, b))
-                if m is not None and sep.order == m:
+                if sep.order == table[(a, b)]["min_order"]:
                     eff_for.append((a, b))
         report["edges"][(i, j)] = {"order": sep.order, "efficient_for": eff_for}
-    report["distinguishes_all"] = distinguished == set(pair_min)
+    report["distinguishes_all"] = distinguished == set(table.pairs())
     return report
 
 

@@ -672,10 +672,7 @@ def _refine_essential(sigma, P, F, ts):
     owners = [Q for Q in ts if all(s in Q for s in sigma)]
     if len(owners) != 1 or owners[0] != P:
         raise HypothesisFailure("sigma must be home to exactly the given tangle")
-    for s in sigma:
-        if not is_good(s, ts)[0]:
-            raise HypothesisFailure("sigma member %r is not good" % (s,))
-
+    # near_max_star checks that every member of sigma is good
     sp = near_max_star(sigma, P, tangles=ts)
     spp = maximal_star_above(sp, P)
     # near-maximality puts every node between the two stars into F directly;

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from tangletree import cli
+from tangletree import (blocks, cli, cliquetangles, distinguish, refine,
+                        tangles, trees, universe)
 from tangletree.examples import bridged_cliques
 from tangletree.graphs import complete_graph, path_graph
 from tangletree.io import (save_graph, save_tree_decomposition, save_universe)
@@ -188,8 +189,9 @@ _TD = {"format": "tree-decomposition", "n": 2, "graph_edges": [[0, 1]],
     {"nodes": [{"bag": [0, 1]}]},
     {"nodes": [{"id": 0}]},
     {"edges": [[0, 3]]},
+    {"nodes": [{"id": 0, "bag": [0, 1, 9]}]},
 ], ids=["n-missing", "self-loop", "node-without-id", "node-without-bag",
-        "edge-to-missing-node"])
+        "edge-to-missing-node", "bag-vertex-outside-graph"])
 def test_malformed_tree_decomposition_is_input_error(tmp_path, edit):
     graph, td = tmp_path / "g.json", tmp_path / "td.json"
     graph.write_text(json.dumps({"format": "graph", "n": 2, "edges": [[0, 1]]}))
@@ -199,6 +201,28 @@ def test_malformed_tree_decomposition_is_input_error(tmp_path, edit):
     assert cli.run(["export-dot", "--td", str(td), "--out", out]) == 2
     assert cli.run(["verify", "--graph", str(graph), "--k", "2",
                     "--td", str(td), "--out", out]) == 2
+
+
+def test_bag_vertex_outside_graph_is_named(tmp_path, capsys):
+    td = tmp_path / "td.json"
+    td.write_text(json.dumps(dict(_TD, nodes=[{"id": 0, "bag": [0, 1, 9]}])))
+    assert cli.run(["export-dot", "--td", str(td)]) == 2
+    assert "[9]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bags,edges", [
+    ([[0, 1], [0, 1]], [[0, 1], [1, 0]]),
+    ([[0, 1]], [[0, 0]]),
+], ids=["repeated-edge", "self-edge"])
+def test_verify_rejects_a_decomposition_that_is_not_a_tree(tmp_path, bags, edges):
+    graph, td = tmp_path / "g.json", tmp_path / "td.json"
+    graph.write_text(json.dumps({"format": "graph", "n": 2, "edges": [[0, 1]]}))
+    nodes = [{"id": i, "bag": bag} for i, bag in enumerate(bags)]
+    td.write_text(json.dumps(dict(_TD, nodes=nodes, edges=edges)))
+    out = tmp_path / "run"
+    assert cli.run(["verify", "--graph", str(graph), "--k", "2",
+                    "--td", str(td), "--out", str(out)]) == 1
+    assert _read(out / "verify.json")["report"]["witness"][0] == "not-a-tree"
 
 
 @pytest.mark.parametrize("star,fault", [
@@ -245,6 +269,13 @@ def test_exit_codes_for_bad_input(tmp_path, twin_graph):
                     "--max-vertices", "4", "--out", out]) == 3
     assert cli.run(["tangles", "--graph", twin_graph, "--k", "3",
                     "--max-system", "0", "--out", out]) == 2
+    path = tmp_path / "path41.txt"
+    path.write_text("".join("%d %d\n" % (v, v + 1) for v in range(40)))
+    assert cli.run(["blocks", "--graph", str(path), "--k", "2",
+                    "--max-vertices", "8", "--out", out]) == 3
+    far = tmp_path / "far.txt"
+    far.write_text("0 100000\n")
+    assert cli.run(["blocks", "--graph", str(far), "--k", "2", "--out", out]) == 3
 
 
 def test_reruns_are_byte_identical(tmp_path, twin_graph):
@@ -256,3 +287,32 @@ def test_reruns_are_byte_identical(tmp_path, twin_graph):
         outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
     assert outs[0] == outs[1]
     assert set(outs[0]) == {"refined.json", "td.dot", "td.json"}
+
+
+@pytest.mark.parametrize("command", ["tot", "refine", "abstract"])
+def test_each_command_builds_one_table_and_searches_once(tmp_path, twin_graph,
+                                                        monkeypatch, command):
+    calls = {"tables": 0, "searches": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    table = distinguish.DistinguisherTable
+    monkeypatch.setattr(table, "__init__", counted("tables", table.__init__))
+    search = counted("searches", tangles.f_tangles)
+    # modules bind f_tangles by name at import, so each binding is replaced
+    for module in (blocks, cli, cliquetangles, distinguish, refine, tangles,
+                   trees, universe):
+        if getattr(module, "f_tangles", None) is tangles.f_tangles:
+            monkeypatch.setattr(module, "f_tangles", search)
+    if command == "abstract":
+        u = tmp_path / "u.json"
+        save_universe(random_distributive_universe(2), u)
+        source = ["--universe", str(u)]
+    else:
+        source = ["--graph", twin_graph, "--k", "3"]
+    assert cli.run([command, *source, "--out", str(tmp_path / "run")]) == 0
+    assert calls == {"tables": 1, "searches": 1}

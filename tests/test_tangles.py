@@ -178,7 +178,7 @@ def test_check_star_family_reports():
     rep = check_star_family(F, S)
     assert rep["all_stars"] and rep["standard"]
     assert rep["contains_inverse_of_smalls"]
-    assert rep["profile_respecting"]
+    assert all(is_profile(O)[0] for O in f_tangles(S, F))
 
 
 @settings(max_examples=10, deadline=None)

@@ -121,3 +121,8 @@ def test_td_validity_witnesses():
     TD = TreeDecomposition(G, [{0, 1, 2}, {2, 3}, {0, 2, 3}], [(0, 1), (1, 2)])
     ok, w = TD.is_valid()
     assert not ok and w[0] == "disconnected-trace"
+    G = path_graph(2)
+    TD = TreeDecomposition(G, [{0, 1}, {0, 1}], [(0, 1), (1, 0)])
+    assert TD.is_valid() == (False, ("not-a-tree", [(0, 1), (0, 1)]))
+    TD = TreeDecomposition(G, [{0, 1}], [(0, 0)])
+    assert TD.is_valid() == (False, ("not-a-tree", [(0, 0)]))
