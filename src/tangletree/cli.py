@@ -166,6 +166,9 @@ def cmd_abstract(args):
 
 def cmd_export_dot(args):
     TD = tio.load_tree_decomposition(args.td)
+    if not TD._is_tree():
+        raise ParseError("not-a-tree: edges %r do not form a tree on the %d bags"
+                         % ([list(e) for e in TD.edges], len(TD.bags)))
     text = tio.export_dot(TD)
     if args.out:
         with open(_out(args, "td.dot"), "w") as f:

@@ -29,6 +29,21 @@ from .tangles import _backtrack_orientations, same_separation
 COVER_SEARCH_BUDGET = 500000
 
 
+def _mask(vertices):
+    """Int bitmask of a set of distinct vertices."""
+    return sum(1 << v for v in vertices)
+
+
+def _vertices(mask):
+    """Vertex set of an int bitmask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
+
+
 class BaseTangle:
     """A tangle given by its orientation of the base patterns."""
 
@@ -87,6 +102,7 @@ class CliqueCover:
             if not any(e <= C for C in self.cliques):
                 raise NotACover("edge %r lies in no cover clique" % (sorted(e),))
         self._check_no_clique_in_separator()
+        self._clique_masks = [_mask(C) for C in self.cliques]
         self._bases = None
 
     def _check_no_clique_in_separator(self):
@@ -129,15 +145,17 @@ class CliqueCover:
         m = len(self.cliques)
         if m > 20:
             raise TooLarge("2^%d base patterns" % m)
+        full = 2 ** m - 1
+        union = [0] * (full + 1)       # union of the cliques indexed by bits
+        for bits in range(1, full + 1):
+            low = bits & -bits
+            union[bits] = union[bits ^ low] | self._clique_masks[low.bit_length() - 1]
         out = set()
-        for bits in range(1, 2 ** m - 1):
-            A = frozenset().union(*(C for i, C in enumerate(self.cliques) if bits >> i & 1))
-            B = frozenset().union(*(C for i, C in enumerate(self.cliques) if not bits >> i & 1))
-            if A <= B or B <= A:
+        for bits in range(1, (full >> 1) + 1):      # one of bits, full ^ bits
+            A, B = union[bits], union[full ^ bits]
+            if not A & ~B or not B & ~A or (A & B).bit_count() >= self.k:
                 continue
-            if len(A & B) >= self.k:
-                continue
-            out.add(canonical(OrientedSeparation(self.G, A, B)))
+            out.add(canonical(OrientedSeparation(self.G, _vertices(A), _vertices(B))))
         self._bases = sorted(out, key=lambda s: s.sort_key)
         for s in self._bases:
             # the small-side analysis below needs both sides larger than k-1
@@ -179,98 +197,88 @@ class CliqueCover:
                     return hit
         return None
 
-    def _clique_prune(self, sides, slacks, wilds):
-        """Necessary condition: every clique's edges admit a pair cover.
-
-        A set of vertex sets covering all edges of a clique C either has a
-        member containing C or places every vertex of C in two members, so
-        the capacities must reach 2|C| and cannot all fall short of |C|.
-        """
-        cap_w = self.k - 1
-        for C in self.cliques:
-            caps = [len(C & A) + sl for A, sl in zip(sides, slacks)]
-            caps += [min(cap_w, len(C))] * wilds
-            if max(caps, default=0) >= len(C):
-                continue
-            if sum(caps) < 2 * len(C):
-                return False
-        return True
-
     def _cover_search(self, chosen, wilds):
-        """Exact search for pads and small sides completing a cover."""
+        """Exact search for pads and small sides completing a cover.
+
+        Sides, pads, small sides and open items (edges, missing vertices)
+        are int vertex masks.  Every node runs the clique-capacity prune:
+        members covering the edges of a clique C either include one that
+        contains C or hold every vertex of C twice.  Each level places a
+        vertex into one of at most three members of capacity at most k-1,
+        so the recursion is at most 3(k-1)+1 deep.
+        """
         G, k = self.G, self.k
-        sides = [set(s.A) for s in chosen]
+        sides = [_mask(s.A) for s in chosen]
         slacks = [self.slack(s) for s in chosen]
-        if not self._clique_prune([frozenset(a) for a in sides], slacks, wilds):
-            return None
-        missing = set(G.vertices) - set().union(*sides)
+        missing = list(set(G.vertices) - set().union(*(s.A for s in chosen)))
         if len(missing) > sum(slacks) + wilds * (k - 1):
             return None
-        todo_edges = [tuple(sorted(e)) for e in G.edges
-                      if not any(e <= A for A in sides)]
-        todo_edges.sort()
-        pads = [set() for _ in sides]
-        wild = [set() for _ in range(wilds)]
-        state = {"nodes": 0}
+        missing_mask = _mask(missing)
+        items = [m for m in map(_mask, G.edge_tuples())
+                 if all(m & ~a for a in sides)]
+        items += [1 << v for v in missing]
+        cliques = [(c, c.bit_count()) for c in self._clique_masks]
+        pads = [0] * len(sides)
+        wild = [0] * wilds
+        nodes = 0
 
-        def capacity_left():
-            room = sum(sl - len(p) for sl, p in zip(slacks, pads))
-            room += sum(k - 1 - len(w) for w in wild)
-            placed = set().union(*pads, *wild)
-            return room - len(missing - placed)
-
-        def options(item):
-            need = set(item)
+        def options(need):
             outs = []
-            for i, A in enumerate(sides):
-                want = need - A - pads[i]
-                if len(pads[i]) + len(want) <= slacks[i]:
-                    outs.append(("p", i, want))
-            fresh = True
+            for i, (a, p, sl) in enumerate(zip(sides, pads, slacks)):
+                want = need & ~a & ~p
+                if p.bit_count() + want.bit_count() <= sl:
+                    outs.append((pads, i, want))
             for j, w in enumerate(wild):
-                if not w and not fresh:
+                if not w and 0 in wild[:j]:      # empty small sides are alike
                     continue
-                if not w:
-                    fresh = False
-                want = need - w
-                if len(w) + len(want) <= k - 1:
-                    outs.append(("w", j, want))
+                want = need & ~w
+                if w.bit_count() + want.bit_count() <= k - 1:
+                    outs.append((wild, j, want))
             return outs
 
-        def satisfied(item):
-            need = set(item)
-            if any(need <= A | p for A, p in zip(sides, pads)):
-                return True
-            return any(need <= w for w in wild)
-
-        def rec(edges):
-            state["nodes"] += 1
-            if state["nodes"] > COVER_SEARCH_BUDGET:
+        def rec(items):
+            nonlocal nodes
+            nodes += 1
+            if nodes > COVER_SEARCH_BUDGET:
                 raise TooLarge("cover search exceeded %d nodes" % COVER_SEARCH_BUDGET)
-            edges = [e for e in edges if not satisfied(e)]
-            left = [v for v in missing if not satisfied((v,))]
-            if not edges and not left:
+            held = [a | p for a, p in zip(sides, pads)]
+            members = held + wild
+            items = [m for m in items if all(m & ~h for h in members)]
+            if not items:
                 return True
-            if capacity_left() < 0:
+            room = sum(sl - p.bit_count() for sl, p in zip(slacks, pads))
+            room += sum(k - 1 - w.bit_count() for w in wild)
+            placed = 0
+            for p in pads + wild:
+                placed |= p
+            if room < (missing_mask & ~placed).bit_count():
                 return False
-            ranked = sorted(edges + [(v,) for v in left], key=lambda it: len(options(it)))
-            item = ranked[0]
-            for kind, idx, want in options(item):
-                store = pads[idx] if kind == "p" else wild[idx]
-                store |= want
-                if rec(edges):
+            for c, size in cliques:
+                caps = [(c & h).bit_count() + sl - p.bit_count()
+                        for h, sl, p in zip(held, slacks, pads)]
+                caps += [min((c & w).bit_count() + k - 1 - w.bit_count(), size)
+                         for w in wild]
+                if max(caps) < size and sum(caps) < 2 * size:
+                    return False
+            # the first item with the fewest options
+            best = None
+            for m in items:
+                outs = options(m)
+                if best is None or len(outs) < len(best):
+                    best = outs
+                    if not outs:
+                        return False
+            for store, idx, want in best:
+                store[idx] |= want
+                if rec(items):
                     return True
-                store -= want
+                store[idx] &= ~want
             return False
 
-        if rec(todo_edges):
-            witness = []
-            for s, p in zip(chosen, pads):
-                witness.append(OrientedSeparation(G, s.A | p, s.B))
-            for w in wild:
-                witness.append(OrientedSeparation(G, frozenset(w), G.vertices))
-            return witness
-        return None
+        if not rec(items):
+            return None
+        return ([OrientedSeparation(G, s.A | _vertices(p), s.B) for s, p in zip(chosen, pads)]
+                + [OrientedSeparation(G, _vertices(w), G.vertices) for w in wild])
 
     def star_census(self, tau, tangles):
         """All stars of padded copies of tau's base members, with minimal pads.

@@ -4,7 +4,7 @@ interior exclusive stars, and the end-to-end pipeline."""
 import warnings
 
 from .errors import (EmulationFailure, HypothesisFailure, NotExclusiveAnywhere,
-                     OutOfDomain, SearchExhausted, VerificationFailed)
+                     OutOfDomain, SearchExhausted, TooLarge, VerificationFailed)
 from .distinguish import DistinguisherTable, verify_premise
 from .seps import canonical, nested
 from .tangles import (CoverFamily, check_star, closely_related, f_tangles,
@@ -97,7 +97,7 @@ def _cover_parts(sigma, F):
     return parts
 
 
-# expansions each search of refine_inessential may make (SearchExhausted)
+# expansions each search of refine_inessential may make (TooLarge)
 MAX_EXPANSIONS = 20000
 
 
@@ -169,7 +169,7 @@ def _carve_cover(sigma, F, S):
         cands.sort(key=lambda c: (c[0], c[1]))
         for _, _, Q, R in cands:
             if left[0] <= 0:
-                raise SearchExhausted("carving search budget exhausted")
+                raise TooLarge("carving search budget exhausted")
             left[0] -= 1
             t1 = build(Q)
             if t1 is None:
@@ -243,7 +243,7 @@ def _split_search(sigma, F, S):
         if node in memo_fail:
             return None
         if budget[0] <= 0:
-            raise SearchExhausted("refinement search budget exhausted")
+            raise TooLarge("refinement search budget exhausted")
         budget[0] -= 1
         cands = []
         for u in all_oriented:
@@ -297,10 +297,10 @@ def refine_inessential(sigma, F, S, tangles):
     member of sigma a leaf separation and every internal star in F.
 
     Cover families get a carving search over the uncovered region; explicit
-    star families get a backtracking split search.  SearchExhausted means the
-    budget ran out, which callers treat as a failure (the underlying lemma
-    guarantees existence under the hypotheses); each search may expand
-    MAX_EXPANSIONS nodes.
+    star families get a backtracking split search.  Each search may expand
+    MAX_EXPANSIONS nodes and raises TooLarge when that budget runs out.
+    SearchExhausted means a complete search found nothing, a failure of the
+    underlying lemma, which guarantees existence under the hypotheses.
     """
     sigma = check_star(sigma)
     ts = list(tangles)

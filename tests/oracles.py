@@ -143,3 +143,107 @@ def check_universe_elementwise(U):
                 if r.join(s.meet(t)) != r.join(s).meet(r.join(t)):
                     flag("distributive", "join-over-meet", (r, s, t))
     return report
+
+
+def _clique_prune(cov, sides, slacks, wilds):
+    """Necessary condition: every clique's edges admit a pair cover.
+
+    A set of vertex sets covering all edges of a clique C either has a
+    member containing C or places every vertex of C in two members, so
+    the capacities must reach 2|C| and cannot all fall short of |C|.
+    """
+    cap_w = cov.k - 1
+    for C in cov.cliques:
+        caps = [len(C & A) + sl for A, sl in zip(sides, slacks)]
+        caps += [min(cap_w, len(C))] * wilds
+        if max(caps, default=0) >= len(C):
+            continue
+        if sum(caps) < 2 * len(C):
+            return False
+    return True
+
+
+def reference_cover_search(cov, chosen, wilds):
+    """Set-based exact search for pads and small sides completing a cover,
+    with the clique prune at the root only and no node budget; the
+    reference for `CliqueCover._cover_search`."""
+    G, k = cov.G, cov.k
+    sides = [set(s.A) for s in chosen]
+    slacks = [cov.slack(s) for s in chosen]
+    if not _clique_prune(cov, [frozenset(a) for a in sides], slacks, wilds):
+        return None
+    missing = set(G.vertices) - set().union(*sides)
+    if len(missing) > sum(slacks) + wilds * (k - 1):
+        return None
+    todo_edges = [tuple(sorted(e)) for e in G.edges
+                  if not any(e <= A for A in sides)]
+    todo_edges.sort()
+    pads = [set() for _ in sides]
+    wild = [set() for _ in range(wilds)]
+
+    def capacity_left():
+        room = sum(sl - len(p) for sl, p in zip(slacks, pads))
+        room += sum(k - 1 - len(w) for w in wild)
+        placed = set().union(*pads, *wild)
+        return room - len(missing - placed)
+
+    def options(item):
+        need = set(item)
+        outs = []
+        for i, A in enumerate(sides):
+            want = need - A - pads[i]
+            if len(pads[i]) + len(want) <= slacks[i]:
+                outs.append(("p", i, want))
+        fresh = True
+        for j, w in enumerate(wild):
+            if not w and not fresh:
+                continue
+            if not w:
+                fresh = False
+            want = need - w
+            if len(w) + len(want) <= k - 1:
+                outs.append(("w", j, want))
+        return outs
+
+    def satisfied(item):
+        need = set(item)
+        if any(need <= A | p for A, p in zip(sides, pads)):
+            return True
+        return any(need <= w for w in wild)
+
+    def rec(edges):
+        edges = [e for e in edges if not satisfied(e)]
+        left = [v for v in missing if not satisfied((v,))]
+        if not edges and not left:
+            return True
+        if capacity_left() < 0:
+            return False
+        ranked = sorted(edges + [(v,) for v in left], key=lambda it: len(options(it)))
+        item = ranked[0]
+        for kind, idx, want in options(item):
+            store = pads[idx] if kind == "p" else wild[idx]
+            store |= want
+            if rec(edges):
+                return True
+            store -= want
+        return False
+
+    if rec(todo_edges):
+        witness = []
+        for s, p in zip(chosen, pads):
+            witness.append(OrientedSeparation(G, s.A | p, s.B))
+        for w in wild:
+            witness.append(OrientedSeparation(G, frozenset(w), G.vertices))
+        return witness
+    return None
+
+
+def reference_cover_triple(cov, members):
+    """`CliqueCover.cover_triple` on the reference search."""
+    props = sorted(members, key=lambda s: s.sort_key)
+    for take in range(1, 4):
+        for combo in combinations(props, take):
+            hit = reference_cover_search(cov, list(combo), 3 - take)
+            if hit is not None:
+                return hit
+    return None

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import random_graph
 from tangletree import (blocks, cli, cliquetangles, distinguish, refine,
                         tangles, trees, universe)
 from tangletree.examples import bridged_cliques
@@ -214,7 +215,7 @@ def test_bag_vertex_outside_graph_is_named(tmp_path, capsys):
     ([[0, 1], [0, 1]], [[0, 1], [1, 0]]),
     ([[0, 1]], [[0, 0]]),
 ], ids=["repeated-edge", "self-edge"])
-def test_verify_rejects_a_decomposition_that_is_not_a_tree(tmp_path, bags, edges):
+def test_verify_rejects_a_decomposition_that_is_not_a_tree(tmp_path, capsys, bags, edges):
     graph, td = tmp_path / "g.json", tmp_path / "td.json"
     graph.write_text(json.dumps({"format": "graph", "n": 2, "edges": [[0, 1]]}))
     nodes = [{"id": i, "bag": bag} for i, bag in enumerate(bags)]
@@ -223,6 +224,11 @@ def test_verify_rejects_a_decomposition_that_is_not_a_tree(tmp_path, bags, edges
     assert cli.run(["verify", "--graph", str(graph), "--k", "2",
                     "--td", str(td), "--out", str(out)]) == 1
     assert _read(out / "verify.json")["report"]["witness"][0] == "not-a-tree"
+    capsys.readouterr()
+    # export-dot draws nothing for it: an input error naming the fault
+    assert cli.run(["export-dot", "--td", str(td)]) == 2
+    captured = capsys.readouterr()
+    assert "not-a-tree" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("star,fault", [
@@ -316,3 +322,12 @@ def test_each_command_builds_one_table_and_searches_once(tmp_path, twin_graph,
         source = ["--graph", twin_graph, "--k", "3"]
     assert cli.run([command, *source, "--out", str(tmp_path / "run")]) == 0
     assert calls == {"tables": 1, "searches": 1}
+
+
+def test_refine_search_budget_is_cap_exceeded(tmp_path, monkeypatch, capsys):
+    graph = tmp_path / "g.json"
+    save_graph(random_graph(0, 6, 10), graph)
+    monkeypatch.setattr(refine, "MAX_EXPANSIONS", 0)
+    assert cli.run(["refine", "--graph", str(graph), "--k", "3",
+                    "--out", str(tmp_path / "run")]) == 3
+    assert "search budget exhausted" in capsys.readouterr().err

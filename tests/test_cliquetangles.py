@@ -5,16 +5,46 @@ import os
 
 import pytest
 
+from oracles import reference_cover_triple
+from tangletree import cliquetangles
 from tangletree.cliquetangles import CliqueCover
 from tangletree.errors import NotACover
 from tangletree.examples import (five_cliques_with_hub, satellite_cliques,
                                  shared_pair_cliques)
 from tangletree.graphs import glue_cliques
-from tangletree.seps import canonical, enumerate_separations
-from tangletree.tangles import CoverFamily, f_tangles
+from tangletree.seps import canonical, enumerate_separations, separation
+from tangletree.tangles import CoverFamily, _backtrack_orientations, f_tangles
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data",
                     "scaled_example.json")
+
+SMALL_COVERS = [([[0, 1, 2, 3], [2, 3, 4, 5, 6]], 3),
+                ([[0, 1, 2, 3, 4], [3, 4, 5, 6, 7], [0, 1, 7, 8]], 3)]
+
+
+def _shared_pair_cover():
+    blocks = [frozenset(range(6))]
+    n = 6
+    for i in range(3):
+        blocks.append(frozenset([2 * i, 2 * i + 1] + list(range(n, n + 4))))
+        n += 4
+    return CliqueCover(shared_pair_cliques(6, 3), blocks, 3)
+
+
+def _satellite_cover():
+    cliques = [frozenset(range(6)), frozenset(range(8, 14)),
+               frozenset(range(16, 22)), frozenset(range(24, 30))]
+    for i in range(3):
+        a, b = 6 + 8 * i, 7 + 8 * i
+        sat = list(range(8 + 8 * i, 14 + 8 * i))
+        cliques += [frozenset({2 * i, a}), frozenset({a, sat[0]}),
+                    frozenset({2 * i + 1, b}), frozenset({b, sat[1]})]
+    return CliqueCover(satellite_cliques(6, 3), cliques, 3)
+
+
+def _five_hub_cover():
+    G, cliques, k, _, _ = five_cliques_with_hub()
+    return CliqueCover(G, cliques, k)
 
 
 def _base_oracle(cov, S):
@@ -40,8 +70,7 @@ def test_cover_validation():
 
 
 def test_reduction_matches_enumeration_small():
-    for blocks, k in [([[0, 1, 2, 3], [2, 3, 4, 5, 6]], 3),
-                      ([[0, 1, 2, 3, 4], [3, 4, 5, 6, 7], [0, 1, 7, 8]], 3)]:
+    for blocks, k in SMALL_COVERS:
         G = glue_cliques(blocks)
         cov = CliqueCover(G, blocks, k)
         S = enumerate_separations(G, k)
@@ -62,13 +91,8 @@ def test_reduction_matches_enumeration_small():
 
 
 def test_reduction_on_shared_pair_cliques():
-    G = shared_pair_cliques(6, 3)
-    blocks = [frozenset(range(6))]
-    n = 6
-    for i in range(3):
-        blocks.append(frozenset([2 * i, 2 * i + 1] + list(range(n, n + 4))))
-        n += 4
-    cov = CliqueCover(G, blocks, 3)
+    cov = _shared_pair_cover()
+    G = cov.G
     base_tangles = cov.tangles()
     S = enumerate_separations(G, 3, max_vertices=20)
     direct = f_tangles(S, CoverFamily(G, 3))
@@ -80,19 +104,10 @@ def test_reduction_on_shared_pair_cliques():
 
 
 def test_four_clique_graph_reduction():
-    G = satellite_cliques(6, 3)
-    cliques = [frozenset(range(6)), frozenset(range(8, 14)),
-               frozenset(range(16, 22)), frozenset(range(24, 30))]
-    for i in range(3):
-        a, b = 6 + 8 * i, 7 + 8 * i
-        sat = list(range(8 + 8 * i, 14 + 8 * i))
-        cliques += [frozenset({2 * i, a}), frozenset({a, sat[0]}),
-                    frozenset({2 * i + 1, b}), frozenset({b, sat[1]})]
-    cov = CliqueCover(G, cliques, 3)
-    assert len(cov.tangles()) == 4
+    assert len(_satellite_cover().tangles()) == 4
 
 
-def test_scaled_example_matches_frozen_data():
+def _check_scaled_example():
     frozen = json.load(open(DATA))
     G, cliques, k, right, hub = five_cliques_with_hub()
     assert k == frozen["k"] and G.n == frozen["n"]
@@ -109,3 +124,46 @@ def test_scaled_example_matches_frozen_data():
     excl = min(i for (_, i, o) in census if o == 1)
     assert excl == frozen["minimal_exclusive_star"]["interior"]
     assert excl > best
+
+
+def test_scaled_example_matches_frozen_data():
+    _check_scaled_example()
+
+
+def test_scaled_example_within_small_cover_budget(monkeypatch):
+    # every cover search on the five-hub graph stays far below 200 nodes
+    monkeypatch.setattr(cliquetangles, "COVER_SEARCH_BUDGET", 200)
+    _check_scaled_example()
+
+
+def _assert_covering_triple(cov, members, witness):
+    """witness is a covering set of at most three separations of order < k,
+    each a padded copy of a member or small."""
+    G = cov.G
+    assert len(witness) <= 3
+    for w in witness:
+        separation(G, w.A, w.B)
+        assert w.order < cov.k
+        assert w.B == G.vertices or any(
+            w.B == s.B and s.A <= w.A for s in members)
+    assert frozenset().union(*(w.A for w in witness)) == G.vertices
+    for e in G.edges:
+        assert any(e <= w.A for w in witness)
+
+
+@pytest.mark.parametrize("build", [
+    _five_hub_cover, _satellite_cover, _shared_pair_cover,
+    lambda: CliqueCover(glue_cliques(SMALL_COVERS[0][0]), *SMALL_COVERS[0]),
+    lambda: CliqueCover(glue_cliques(SMALL_COVERS[1][0]), *SMALL_COVERS[1])],
+    ids=["five-hub", "satellite", "shared-pair", "small-0", "small-1"])
+def test_cover_triple_matches_reference(build):
+    cov = build()
+
+    def prune(chosen, y):
+        return any(cov._padded_inconsistent(y, c) for c in chosen)
+
+    for chosen in _backtrack_orientations(cov.base_separations(), prune):
+        witness = cov.cover_triple(chosen)
+        assert witness == reference_cover_triple(cov, chosen)
+        if witness is not None:
+            _assert_covering_triple(cov, chosen, witness)
