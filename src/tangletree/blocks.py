@@ -5,7 +5,8 @@ from itertools import combinations
 from .distinguish import DistinguisherTable
 from .graphs import min_vertex_cut_size
 from .seps import OrientedSeparation, canonical
-from .tangles import Orientation, check_star, distinguishes, interior
+from .tangles import (Orientation, SideMasks, check_star, covering_subset,
+                      distinguishes, interior)
 
 
 class Block:
@@ -118,7 +119,6 @@ def block_orientation(b, S):
 def tangle_correspondence(U, tau, k):
     """How the vertex set U relates to the tangle: induces/witnesses/bound."""
     U = frozenset(U)
-    G = next(iter(tau)).graph if len(tau) else None
     report = {"induces": True, "witnesses": True, "small_side_bound": True,
               "witnesses_detail": {}}
     for s in tau:
@@ -130,24 +130,11 @@ def tangle_correspondence(U, tau, k):
         if len(s.A & U) >= k:
             report["small_side_bound"] = False
             report["witnesses_detail"].setdefault("small_side_bound", s)
-    H_edges = G.induced_edges(U) if G is not None else set()
-    members = sorted((s for s in tau if not s.is_degenerate), key=lambda s: s.sort_key)
-    for r in range(1, 4):
-        done = False
-        for sub in combinations(members, r):
-            cover_v = frozenset().union(*(s.A for s in sub)) & U
-            if cover_v != U:
-                continue
-            covered = set()
-            for s in sub:
-                covered |= {e for e in H_edges if e <= s.A}
-            if covered == H_edges:
-                report["witnesses"] = False
-                report["witnesses_detail"].setdefault("witnesses", frozenset(sub))
-                done = True
-                break
-        if done:
-            break
+    masks = SideMasks(tau.system.ground)
+    hit = covering_subset((s for s in tau if not s.is_degenerate), masks, masks[U])
+    if hit is not None:
+        report["witnesses"] = False
+        report["witnesses_detail"]["witnesses"] = hit
     return report
 
 

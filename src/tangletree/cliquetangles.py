@@ -22,26 +22,12 @@ exhaustive enumeration.
 from itertools import combinations
 
 from .errors import NotACover, TooLarge, VerificationFailed
+from .graphs import mask_vertices, vertex_mask
 from .seps import OrientedSeparation, canonical
 from .tangles import _backtrack_orientations, same_separation
 
 # search nodes one cover_triple call may visit before it raises TooLarge
 COVER_SEARCH_BUDGET = 500000
-
-
-def _mask(vertices):
-    """Int bitmask of a set of distinct vertices."""
-    return sum(1 << v for v in vertices)
-
-
-def _vertices(mask):
-    """Vertex set of an int bitmask."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
 
 
 class BaseTangle:
@@ -102,7 +88,7 @@ class CliqueCover:
             if not any(e <= C for C in self.cliques):
                 raise NotACover("edge %r lies in no cover clique" % (sorted(e),))
         self._check_no_clique_in_separator()
-        self._clique_masks = [_mask(C) for C in self.cliques]
+        self._clique_masks = [vertex_mask(C) for C in self.cliques]
         self._bases = None
 
     def _check_no_clique_in_separator(self):
@@ -155,7 +141,7 @@ class CliqueCover:
             A, B = union[bits], union[full ^ bits]
             if not A & ~B or not B & ~A or (A & B).bit_count() >= self.k:
                 continue
-            out.add(canonical(OrientedSeparation(self.G, _vertices(A), _vertices(B))))
+            out.add(canonical(OrientedSeparation(self.G, mask_vertices(A), mask_vertices(B))))
         self._bases = sorted(out, key=lambda s: s.sort_key)
         for s in self._bases:
             # the small-side analysis below needs both sides larger than k-1
@@ -208,13 +194,13 @@ class CliqueCover:
         so the recursion is at most 3(k-1)+1 deep.
         """
         G, k = self.G, self.k
-        sides = [_mask(s.A) for s in chosen]
+        sides = [vertex_mask(s.A) for s in chosen]
         slacks = [self.slack(s) for s in chosen]
         missing = list(set(G.vertices) - set().union(*(s.A for s in chosen)))
         if len(missing) > sum(slacks) + wilds * (k - 1):
             return None
-        missing_mask = _mask(missing)
-        items = [m for m in map(_mask, G.edge_tuples())
+        missing_mask = vertex_mask(missing)
+        items = [m for m in map(vertex_mask, G.edge_tuples())
                  if all(m & ~a for a in sides)]
         items += [1 << v for v in missing]
         cliques = [(c, c.bit_count()) for c in self._clique_masks]
@@ -277,8 +263,8 @@ class CliqueCover:
 
         if not rec(items):
             return None
-        return ([OrientedSeparation(G, s.A | _vertices(p), s.B) for s, p in zip(chosen, pads)]
-                + [OrientedSeparation(G, _vertices(w), G.vertices) for w in wild])
+        return ([OrientedSeparation(G, s.A | mask_vertices(p), s.B) for s, p in zip(chosen, pads)]
+                + [OrientedSeparation(G, mask_vertices(w), G.vertices) for w in wild])
 
     def star_census(self, tau, tangles):
         """All stars of padded copies of tau's base members, with minimal pads.

@@ -63,6 +63,21 @@ class Graph:
         return "Graph(n=%d, m=%d)" % (self.n, len(self.edges))
 
 
+def vertex_mask(vertices):
+    """Int bitmask of a set of distinct vertices."""
+    return sum(1 << v for v in vertices)
+
+
+def mask_vertices(mask):
+    """Vertex set of an int bitmask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
+
+
 def complete_graph(n):
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 

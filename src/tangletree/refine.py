@@ -1,8 +1,6 @@
 """Graph-case refinement: shifting, inessential-star refinement, minimal
 interior exclusive stars, and the end-to-end pipeline."""
 
-import warnings
-
 from .errors import (EmulationFailure, HypothesisFailure, NotExclusiveAnywhere,
                      OutOfDomain, SearchExhausted, TooLarge, VerificationFailed)
 from .distinguish import DistinguisherTable, verify_premise
@@ -78,11 +76,12 @@ def _cover_parts(sigma, F):
     parts = []
     for s in sorted(sigma, key=lambda x: x.sort_key):
         parts.append(("sep", s.A, s))
-    covered = set()
+    covered = 0
     for s in sigma:
-        covered |= G.induced_edges(s.A)
-    for e in sorted(G.edges - covered, key=sorted):
-        parts.append(("edge", frozenset(e), None))
+        covered |= F.masks[s.A][1]
+    for i, e in enumerate(G.edge_tuples()):
+        if not covered >> i & 1:
+            parts.append(("edge", frozenset(e), None))
     count = {v: 0 for v in G.vertices}
     for _, vs, _ in parts:
         for v in vs:
@@ -431,39 +430,13 @@ def _closeness_count(st, tau):
     return sum(1 for s in st if closely_related(s, tau)[0])
 
 
-def _corner_dominate(rho, c, tau, tangles, table_pairs):
-    """One corner replacement making rho dominate the sigma-member c.
-
-    c = (C,D) efficiently distinguishes a pair (Q, Q'); the pivot (A,B) is
-    the unique member of rho with (B,A) in the profile Q containing (D,C).
-    """
-    for (Q, Qp) in table_pairs:
-        if not (c in Qp and c.inv in Q):
-            continue
-        pivots = [ab for ab in rho if ab.inv in Q]
-        if len(pivots) != 1:
-            continue
-        ab = pivots[0]
-        new = {ab.join(c)}
-        for other in rho:
-            if other != ab:
-                new.add(other.meet(c.inv))
-        new = frozenset(new)
-        if not is_star(new):
-            continue
-        if not all(s in tau for s in new):
-            continue
-        return new
-    return None
-
-
 def min_interior_exclusive_star(tau, sigma, tangles):
     """Star sigma' <= tau with sigma <= sigma', exclusive, minimal interior.
 
-    Route: exhaustive enumeration of exclusive stars fixes the minimal
-    interior size and the maximal closely-related count; the corner moves of
-    the supporting lemma then make a witness nested with (and dominating)
-    sigma without interior growth.  The enumeration acts as the certificate.
+    Exhaustive enumeration of the exclusive stars of tau's proper members
+    fixes the minimal interior size; among the stars of that size that
+    dominate sigma, the one with the most closely related members (then the
+    least sort keys) is returned.  The enumeration acts as the certificate.
     """
     G = tau.system.ground
     sigma = check_star(sigma)
@@ -476,13 +449,7 @@ def min_interior_exclusive_star(tau, sigma, tangles):
         if table.efficient_pair(s) is None:
             raise HypothesisFailure(
                 "%r does not efficiently distinguish any pair" % (s,))
-    pairs = []
-    for i, Q in enumerate(ts):
-        for Qp in ts[i + 1:]:
-            pairs.append((Q, Qp))
-            pairs.append((Qp, Q))
 
-    best = None
     best_size = None
     excl = []
     for st, owners in exclusive_stars(tau, ts):
@@ -497,30 +464,11 @@ def min_interior_exclusive_star(tau, sigma, tangles):
     cands = [st for st in excl if len(interior(st, G)) == best_size]
     cands.sort(key=lambda st: (-_closeness_count(st, tau),
                                sorted(s.sort_key for s in st)))
-    rho = cands[0]
-    guard = len(sigma) * len(rho) + 1
-    while not star_leq(sigma, rho) and guard:
-        guard -= 1
-        missing = sorted((c for c in sigma if not any(c.leq(r) for r in rho)),
-                         key=lambda c: c.sort_key)
-        new = _corner_dominate(rho, missing[0], tau, ts, pairs)
-        if new is None:
-            break
-        size = len(interior(new, G))
-        owners = sum(1 for Q in ts if all(s in Q for s in new))
-        if size > best_size or owners != 1:
-            break
-        rho = new
-    if not star_leq(sigma, rho):
-        # fall back on the enumerated candidates that dominate sigma
-        dom = [st for st in cands if star_leq(sigma, st)]
-        if not dom:
-            raise VerificationFailed(
-                "no minimal-interior exclusive star dominates sigma")
-        rho = dom[0]
-    # corner moves may add small members; they lie in every tangle and have
-    # B = V, so dropping them changes neither interior nor ownership
-    rho = frozenset(s for s in rho if not s.is_small and not s.is_degenerate)
+    dom = [st for st in cands if star_leq(sigma, st)]
+    if not dom:
+        raise VerificationFailed(
+            "no minimal-interior exclusive star dominates sigma")
+    rho = dom[0]
     if not star_leq(sigma, rho) or len(interior(rho, G)) != best_size:
         raise VerificationFailed("exclusive star %r lost dominance or minimality" % (sorted(rho),))
     return rho
@@ -547,11 +495,6 @@ def theorem_1_2(G, k, F, N_tilde, tangles=None):
     Returns (N, TD).
     """
     S = N_tilde.system
-    if k < 2:
-        warnings.warn("k < 2 carries no structure; returning the trivial "
-                      "decomposition")
-        return (NestedSet(S, []),
-                TreeDecomposition(G, [G.vertices], []))
     if tangles is None:
         tangles = f_tangles(S, F)
     table = DistinguisherTable.of(tangles)

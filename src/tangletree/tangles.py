@@ -4,6 +4,7 @@ from itertools import combinations
 
 from .errors import (HypothesisFailure, Indistinct, NotAStar, NotInProfile,
                      VerificationFailed)
+from .graphs import vertex_mask
 from .seps import canonical
 
 
@@ -141,6 +142,71 @@ class StarFamily:
         return len(self.elements)
 
 
+class SideMasks(dict):
+    """Vertex and edge masks of the A-sides of G, memoised by A.
+
+    Bit i of an edge mask is set when the i-th edge of G.edge_tuples() lies
+    inside A, so masks[U] is also the target (vertices, induced edges) of U.
+    """
+
+    def __init__(self, G):
+        super().__init__()
+        self.edges = [vertex_mask(e) for e in G.edge_tuples()]
+
+    def __missing__(self, A):
+        v = vertex_mask(A)
+        self[A] = v, sum(1 << i for i, m in enumerate(self.edges) if v & m == m)
+        return self[A]
+
+
+def covering_subset(members, masks, target, fixed=(), accept=None):
+    """The first set of at most three separations, all of `fixed` and the
+    rest from `members`, whose A-sides cover the (vertex, edge) masks of
+    `target` and which `accept` accepts when given; None if there is none.
+
+    Members are tried by (-|A n target|, sort_key), sets by size and then
+    lexicographically.
+    """
+    tv, te = target
+    cv = ce = 0
+    for s in fixed:
+        v, e = masks[s.A]
+        cv, ce = cv | v & tv, ce | e & te
+    lst = []
+    for s in members:
+        v, e = masks[s.A]
+        v &= tv
+        lst.append((-v.bit_count(), s.sort_key, s, v, e & te))
+    lst.sort(key=lambda x: x[:2])
+    fixed = list(fixed)
+    if len(fixed) <= 3 and cv == tv and ce == te and (accept is None or accept(fixed)):
+        return frozenset(fixed)
+    for left in range(1, 4 - len(fixed)):
+        hit = _complete(lst, target, accept, 0, left, cv, ce, fixed)
+        if hit is not None:
+            return hit
+    return None
+
+
+def _complete(lst, target, accept, start, left, cv, ce, picked):
+    """The first `left` more entries of lst[start:] completing the cover
+    (cv, ce) of `picked`.  A loop stops once `left` members of at most the
+    current size cannot cover the vertices still open."""
+    tv, te = target
+    need = (tv ^ cv).bit_count()
+    for i in range(start, len(lst)):
+        minus, _, s, v, e = lst[i]
+        if left * -minus < need:
+            return None
+        if left > 1:
+            hit = _complete(lst, target, accept, i + 1, left - 1, cv | v, ce | e, picked + [s])
+            if hit is not None:
+                return hit
+        elif cv | v == tv and ce | e == te and (accept is None or accept(picked + [s])):
+            return frozenset(picked + [s])
+    return None
+
+
 class CoverFamily:
     """T_k for a graph: subsets of size <= 3 whose small sides cover G.
 
@@ -152,68 +218,22 @@ class CoverFamily:
         self.k = k
         self.stars_only = stars_only
         self.tag = "Tkstars" if stars_only else "Tk"
+        self.masks = SideMasks(G)
+        self._full = self.masks[G.vertices]
+        self._accept = is_star if stars_only else None
+
+    def _cover(self, members, fixed=()):
+        return covering_subset(members, self.masks, self._full, fixed, self._accept)
 
     def __contains__(self, seps):
         """Whether the set of separations seps is an element of the family."""
-        if len(seps) > 3 or frozenset().union(*(s.A for s in seps)) != self.G.vertices:
-            return False
-        covered = set()
-        for s in seps:
-            covered |= self.G.induced_edges(s.A)
-        return covered == self.G.edges and (not self.stars_only or is_star(seps))
+        return self._cover((), seps) is not None
 
     def violation(self, chosen, y):
-        if {y} in self:
-            return frozenset({y})
-        # A-sides must cover V; descending |A| lets the loops break early
-        n = self.G.n
-        lst = sorted(chosen, key=lambda s: (-len(s.A), s.sort_key))
-        for a in lst:
-            if len(y.A) + len(a.A) < n:
-                break
-            if {y, a} in self:
-                return frozenset({y, a})
-        for i, a in enumerate(lst):
-            if len(y.A) + 2 * len(a.A) < n:
-                break
-            for b in lst[i + 1:]:
-                if len(y.A) + len(a.A) + len(b.A) < n:
-                    break
-                if len(y.A | a.A | b.A) < n:
-                    continue
-                if {y, a, b} in self:
-                    return frozenset({y, a, b})
-        return None
+        return self._cover(chosen, (y,))
 
     def subset_in(self, O):
-        n = self.G.n
-        lst = sorted(O, key=lambda s: (-len(s.A), s.sort_key))
-        for a in lst:
-            if {a} in self:
-                return frozenset({a})
-        for i, a in enumerate(lst):
-            if 2 * len(a.A) < n:
-                break
-            for b in lst[i + 1:]:
-                if len(a.A) + len(b.A) < n:
-                    break
-                if {a, b} in self:
-                    return frozenset({a, b})
-        for i, a in enumerate(lst):
-            if 3 * len(a.A) < n:
-                break
-            for j in range(i + 1, len(lst)):
-                b = lst[j]
-                if len(a.A) + 2 * len(b.A) < n:
-                    break
-                for c in lst[j + 1:]:
-                    if len(a.A) + len(b.A) + len(c.A) < n:
-                        break
-                    if len(a.A | b.A | c.A) < n:
-                        continue
-                    if {a, b, c} in self:
-                        return frozenset({a, b, c})
-        return None
+        return self._cover(O)
 
 
 def p_s_family(S):

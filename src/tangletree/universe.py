@@ -212,9 +212,9 @@ def _total_table(tab, look, n, what):
 
 
 class AbstractSystem(SeparationSystem):
-    """Involution-closed subset of a universe, with a verified submodularity flag."""
+    """Involution-closed subset of a universe."""
 
-    __slots__ = ("universe", "submodular")
+    __slots__ = ("universe",)
 
     def __init__(self, universe, members):
         members = frozenset(members)
@@ -223,16 +223,6 @@ class AbstractSystem(SeparationSystem):
                 raise NotInSystem("%r is not an element of the universe" % (s,))
         super().__init__(universe, members)
         self.universe = universe
-        lst = sorted(members, key=lambda x: x.sort_key)
-        sub = True
-        for i, r in enumerate(lst):
-            for s in lst[i:]:
-                if r.join(s) not in members and r.meet(s) not in members:
-                    sub = False
-                    break
-            if not sub:
-                break
-        self.submodular = sub
 
 
 # ---------------------------------------------------------------- checking

@@ -5,7 +5,7 @@ from itertools import combinations
 from tangletree.errors import CrossingEdge, TooLarge
 from tangletree.seps import OrientedSeparation, SeparationSystem, separation
 from tangletree.tangles import (Orientation, _backtrack_orientations,
-                                _pair_inconsistent, is_consistent,
+                                _pair_inconsistent, is_consistent, is_star,
                                 same_separation)
 
 
@@ -247,3 +247,93 @@ def reference_cover_triple(cov, members):
             if hit is not None:
                 return hit
     return None
+
+
+def reference_cover_contains(F, seps):
+    """`CoverFamily.__contains__` by set unions; the reference for the mask
+    test of `tangles.covering_subset`."""
+    G = F.G
+    if len(seps) > 3 or frozenset().union(*(s.A for s in seps)) != G.vertices:
+        return False
+    covered = set()
+    for s in seps:
+        covered |= G.induced_edges(s.A)
+    return covered == G.edges and (not F.stars_only or is_star(seps))
+
+
+def reference_violation(F, chosen, y):
+    """`CoverFamily.violation` by set unions, with the sum-of-sizes bound."""
+    if reference_cover_contains(F, {y}):
+        return frozenset({y})
+    # A-sides must cover V; descending |A| lets the loops break early
+    n = F.G.n
+    lst = sorted(chosen, key=lambda s: (-len(s.A), s.sort_key))
+    for a in lst:
+        if len(y.A) + len(a.A) < n:
+            break
+        if reference_cover_contains(F, {y, a}):
+            return frozenset({y, a})
+    for i, a in enumerate(lst):
+        if len(y.A) + 2 * len(a.A) < n:
+            break
+        for b in lst[i + 1:]:
+            if len(y.A) + len(a.A) + len(b.A) < n:
+                break
+            if len(y.A | a.A | b.A) < n:
+                continue
+            if reference_cover_contains(F, {y, a, b}):
+                return frozenset({y, a, b})
+    return None
+
+
+def reference_subset_in(F, O):
+    """`CoverFamily.subset_in` by set unions, with the sum-of-sizes bound."""
+    n = F.G.n
+    lst = sorted(O, key=lambda s: (-len(s.A), s.sort_key))
+    for a in lst:
+        if reference_cover_contains(F, {a}):
+            return frozenset({a})
+    for i, a in enumerate(lst):
+        if 2 * len(a.A) < n:
+            break
+        for b in lst[i + 1:]:
+            if len(a.A) + len(b.A) < n:
+                break
+            if reference_cover_contains(F, {a, b}):
+                return frozenset({a, b})
+    for i, a in enumerate(lst):
+        if 3 * len(a.A) < n:
+            break
+        for j in range(i + 1, len(lst)):
+            b = lst[j]
+            if len(a.A) + 2 * len(b.A) < n:
+                break
+            for c in lst[j + 1:]:
+                if len(a.A) + len(b.A) + len(c.A) < n:
+                    break
+                if len(a.A | b.A | c.A) < n:
+                    continue
+                if reference_cover_contains(F, {a, b, c}):
+                    return frozenset({a, b, c})
+    return None
+
+
+def reference_witnesses(U, tau):
+    """Whether no set of at most three non-degenerate members of tau has
+    A-sides covering U and U's induced edges: the `witnesses` flag of
+    `blocks.tangle_correspondence`, by enumerating the subsets."""
+    U = frozenset(U)
+    members = sorted((s for s in tau if not s.is_degenerate), key=lambda s: s.sort_key)
+    if not members:
+        return True
+    H_edges = members[0].graph.induced_edges(U)
+    for r in range(1, 4):
+        for sub in combinations(members, r):
+            if frozenset().union(*(s.A for s in sub)) & U != U:
+                continue
+            covered = set()
+            for s in sub:
+                covered |= {e for e in H_edges if e <= s.A}
+            if covered == H_edges:
+                return False
+    return True

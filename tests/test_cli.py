@@ -99,6 +99,19 @@ def test_verify_rejects_foreign_graph(tmp_path, twin_graph):
     assert code == 2
 
 
+def test_refine_then_verify_at_k1_on_an_edgeless_graph(tmp_path):
+    # three isolated vertices are three 1-tangles, which two separations
+    # distinguish; one bag would leave them undistinguished
+    graph = tmp_path / "e3.json"
+    graph.write_text(json.dumps({"format": "graph", "n": 3, "edges": []}))
+    out = tmp_path / "run"
+    assert cli.run(["refine", "--graph", str(graph), "--k", "1",
+                    "--out", str(out)]) == 0
+    assert len(_read(out / "td.json")["nodes"]) == 3
+    assert cli.run(["verify", "--graph", str(graph), "--k", "1",
+                    "--td", str(out / "td.json"), "--out", str(out)]) == 0
+
+
 def test_blocks_subcommand(tmp_path, twin_graph):
     out = tmp_path / "run"
     assert cli.run(["blocks", "--graph", twin_graph, "--k", "3",

@@ -1,0 +1,91 @@
+"""The CLI contract under mutated input files: exit 0-3, never an exception."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tangletree import cli
+from tangletree.graphs import path_graph
+from tangletree.io import save_graph, save_tree_decomposition, save_universe
+from tangletree.trees import TreeDecomposition
+from tangletree.universe import random_distributive_universe
+
+# small values only: a mutated vertex count must not ask for a huge graph
+_LEAF = st.one_of(st.none(), st.booleans(), st.integers(-2, 7), st.text(max_size=3),
+                  st.just([]), st.just({}), st.lists(st.integers(-1, 7), max_size=3))
+
+
+def _paths(obj, path=()):
+    """Every position in a JSON tree, the root first."""
+    yield path
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            yield from _paths(obj[key], path + (key,))
+    elif isinstance(obj, list):
+        for i, item in enumerate(obj):
+            yield from _paths(item, path + (i,))
+
+
+def _mutate(draw, obj):
+    """obj after one to three random edits: replace, delete or duplicate."""
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(obj))))
+        op = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        if not path:
+            obj = draw(_LEAF) if op == "replace" else obj
+            continue
+        parent = obj
+        for step in path[:-1]:
+            parent = parent[step]
+        last = path[-1]
+        if op == "replace":
+            parent[last] = draw(_LEAF)
+        elif op == "delete":
+            del parent[last]
+        elif isinstance(parent, list):
+            parent.insert(last, json.loads(json.dumps(parent[last])))
+    return obj
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A valid graph, tree-decomposition and universe file, parsed."""
+    d = tmp_path_factory.mktemp("valid")
+    G = path_graph(4)
+    save_graph(G, d / "g.json")
+    bags = [frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})]
+    save_tree_decomposition(TreeDecomposition(G, bags, [(0, 1), (1, 2)]), d / "td.json")
+    save_universe(random_distributive_universe(2), d / "u.json")
+    return {name: json.loads((d / (name + ".json")).read_text())
+            for name in ("g", "td", "u")}
+
+
+# the command, the file it mutates, and its arguments given the file paths
+_COMMANDS = {
+    "tangles": ("g", lambda p: ["tangles", "--graph", p["g"], "--k", "2"]),
+    "verify-graph": ("g", lambda p: ["verify", "--graph", p["g"], "--k", "2",
+                                     "--td", p["td"]]),
+    "verify-td": ("td", lambda p: ["verify", "--graph", p["g"], "--k", "2",
+                                   "--td", p["td"]]),
+    "export-dot": ("td", lambda p: ["export-dot", "--td", p["td"]]),
+    "abstract": ("u", lambda p: ["abstract", "--universe", p["u"]]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_mutated_input_keeps_the_exit_contract(tmp_path_factory, valid_files, command,
+                                                data):
+    target, argv = _COMMANDS[command]
+    d = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+    for name, obj in valid_files.items():
+        obj = json.loads(json.dumps(obj))
+        if name == target:
+            obj = _mutate(data.draw, obj)
+        paths[name] = str(d / (name + ".json"))
+        (d / (name + ".json")).write_text(json.dumps(obj))
+    assert cli.run(argv(paths) + ["--out", str(d / "run")]) in (0, 1, 2, 3)

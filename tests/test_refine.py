@@ -119,8 +119,7 @@ def test_pipeline_on_twin_cliques():
 def test_pipeline_trivial_k():
     G = complete_graph(3)
     S = enumerate_separations(G, 1)
-    with pytest.warns(UserWarning):
-        N, TD = theorem_1_2(G, 1, CoverFamily(G, 1), NestedSet(S, []))
+    N, TD = theorem_1_2(G, 1, CoverFamily(G, 1), NestedSet(S, []))
     assert len(TD.bags) == 1
 
 
