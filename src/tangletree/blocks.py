@@ -3,8 +3,8 @@
 from itertools import combinations
 
 from .distinguish import DistinguisherTable
-from .graphs import min_vertex_cut_size
-from .seps import OrientedSeparation, canonical
+from .graphs import mask_bits, min_vertex_cut_size, vertex_mask
+from .seps import canonical, from_masks
 from .tangles import (Orientation, SideMasks, check_star, covering_subset,
                       distinguishes, interior)
 
@@ -89,9 +89,11 @@ def separable_star(b, G, k):
     """
     b = frozenset(b)
     members = set()
-    for C in G.components(b):
-        N = frozenset(v for c in C for v in G.neighbors(c)) - C
-        members.add(OrientedSeparation(G, C | N, G.vertices - C))
+    for c in G.component_masks(vertex_mask(b)):
+        a = c
+        for v in mask_bits(c):
+            a |= G.adj[v]
+        members.add(from_masks(G, a, G.full ^ c))
     for s in members:
         if s.order >= k:
             return None
@@ -103,13 +105,14 @@ def separable_star(b, G, k):
 
 def block_orientation(b, S):
     """Orient every member of S toward b; defined when b is never split."""
+    b = vertex_mask(b)
     chosen = set()
     for s in S.unoriented():
         if s.is_degenerate:
             chosen.add(s)
-        elif b <= s.B:
+        elif not b & ~s.b:
             chosen.add(s)
-        elif b <= s.A:
+        elif not b & ~s.a:
             chosen.add(s.inv)
         else:
             return None
@@ -119,19 +122,21 @@ def block_orientation(b, S):
 def tangle_correspondence(U, tau, k):
     """How the vertex set U relates to the tangle: induces/witnesses/bound."""
     U = frozenset(U)
+    u = vertex_mask(U)
     report = {"induces": True, "witnesses": True, "small_side_bound": True,
               "witnesses_detail": {}}
     for s in tau:
         if s.is_degenerate:
             continue
-        if len(s.A & U) >= len(s.B & U):
+        inside = (s.a & u).bit_count()
+        if inside >= (s.b & u).bit_count():
             report["induces"] = False
             report["witnesses_detail"].setdefault("induces", s)
-        if len(s.A & U) >= k:
+        if inside >= k:
             report["small_side_bound"] = False
             report["witnesses_detail"].setdefault("small_side_bound", s)
     masks = SideMasks(tau.system.ground)
-    hit = covering_subset((s for s in tau if not s.is_degenerate), masks, masks[U])
+    hit = covering_subset((s for s in tau if not s.is_degenerate), masks, masks[u])
     if hit is not None:
         report["witnesses"] = False
         report["witnesses_detail"]["witnesses"] = hit

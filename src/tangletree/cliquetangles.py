@@ -22,8 +22,8 @@ exhaustive enumeration.
 from itertools import combinations
 
 from .errors import NotACover, TooLarge, VerificationFailed
-from .graphs import mask_vertices, vertex_mask
-from .seps import OrientedSeparation, canonical
+from .graphs import vertex_mask
+from .seps import canonical, from_masks
 from .tangles import _backtrack_orientations, same_separation
 
 # search nodes one cover_triple call may visit before it raises TooLarge
@@ -112,17 +112,21 @@ class CliqueCover:
 
     def base_of(self, s):
         """The base pattern a proper separation of order < k pads."""
-        side_a = [C for C in self.cliques if C <= s.A]
-        side_b = [C for C in self.cliques if not C <= s.A]
-        if not side_a or not side_b:
+        bA = bB = 0
+        split = None
+        for C, c in zip(self.cliques, self._clique_masks):
+            if not c & ~s.a:
+                bA |= c
+            else:
+                bB |= c
+                if split is None and c & ~s.b:
+                    split = C
+        if not bA or not bB:
             raise VerificationFailed("separation %r has no proper base pattern" % (s,))
-        bA = frozenset().union(*side_a)
-        bB = frozenset().union(*side_b)
-        for C in side_b:
-            if not C <= s.B:
-                raise VerificationFailed(
-                    "clique %r split by %r; cover hypothesis violated" % (sorted(C), s))
-        return OrientedSeparation(self.G, bA, bB)
+        if split is not None:
+            raise VerificationFailed(
+                "clique %r split by %r; cover hypothesis violated" % (sorted(split), s))
+        return from_masks(self.G, bA, bB)
 
     def base_separations(self):
         """Canonical unoriented base patterns of order < k, both sides proper."""
@@ -141,11 +145,11 @@ class CliqueCover:
             A, B = union[bits], union[full ^ bits]
             if not A & ~B or not B & ~A or (A & B).bit_count() >= self.k:
                 continue
-            out.add(canonical(OrientedSeparation(self.G, mask_vertices(A), mask_vertices(B))))
+            out.add(canonical(from_masks(self.G, A, B)))
         self._bases = sorted(out, key=lambda s: s.sort_key)
         for s in self._bases:
             # the small-side analysis below needs both sides larger than k-1
-            if len(s.A) <= self.k - 1 or len(s.B) <= self.k - 1:
+            if s.a.bit_count() <= self.k - 1 or s.b.bit_count() <= self.k - 1:
                 raise VerificationFailed("base pattern with a side of at most k-1 vertices")
         return self._bases
 
@@ -153,11 +157,11 @@ class CliqueCover:
         """Whether padded copies of x and y form a consistency violation."""
         if same_separation(x, y):
             # (bB+Y, bA+X) <= (bA+X', bB+Y') needs the strict B-side in a pad
-            return len(x.B - x.A) <= self.slack(x)
+            return (x.b & ~x.a).bit_count() <= self.slack(x)
         # x.inv <= y after pads: x.B inside y.A + pad, y.B inside x.A + pad;
         # the mirrored violation y.inv <= x asks for the same pads
-        return (len(x.B - y.A) <= self.slack(y)
-                and len(y.B - x.A) <= self.slack(x))
+        return ((x.b & ~y.a).bit_count() <= self.slack(y)
+                and (y.b & ~x.a).bit_count() <= self.slack(x))
 
     def tangles(self):
         """All T_k-tangles, as orientations of the base patterns."""
@@ -194,7 +198,7 @@ class CliqueCover:
         so the recursion is at most 3(k-1)+1 deep.
         """
         G, k = self.G, self.k
-        sides = [vertex_mask(s.A) for s in chosen]
+        sides = [s.a for s in chosen]
         slacks = [self.slack(s) for s in chosen]
         missing = list(set(G.vertices) - set().union(*(s.A for s in chosen)))
         if len(missing) > sum(slacks) + wilds * (k - 1):
@@ -263,8 +267,8 @@ class CliqueCover:
 
         if not rec(items):
             return None
-        return ([OrientedSeparation(G, s.A | mask_vertices(p), s.B) for s, p in zip(chosen, pads)]
-                + [OrientedSeparation(G, mask_vertices(w), G.vertices) for w in wild])
+        return ([from_masks(G, s.a | p, s.b) for s, p in zip(chosen, pads)]
+                + [from_masks(G, w, G.full) for w in wild])
 
     def star_census(self, tau, tangles):
         """All stars of padded copies of tau's base members, with minimal pads.
@@ -281,19 +285,19 @@ class CliqueCover:
                 grow = {}
                 ok = True
                 for y in M:
-                    need = set()
+                    need = 0
                     for x in M:
                         if x is not y:
-                            need |= x.A - y.B
-                    if len(need) > self.slack(y):
+                            need |= x.a & ~y.b
+                    if need.bit_count() > self.slack(y):
                         ok = False
                         break
                     grow[y] = need
                 if not ok:
                     continue
-                inner = set(self.G.vertices)
+                inner = self.G.full
                 for y in M:
-                    inner &= y.B | grow[y]
+                    inner &= y.b | grow[y]
                 owners = sum(1 for t in tangles if all(m in t.base for m in M))
-                out.append((frozenset(M), len(inner), owners))
+                out.append((frozenset(M), inner.bit_count(), owners))
         return out

@@ -1,60 +1,76 @@
 """Immutable graph model: vertices 0..n-1, undirected simple edges."""
 
 from functools import lru_cache
+from itertools import combinations
 
 
 class Graph:
-    __slots__ = ("n", "edges", "_hash")
+    """A graph with one adjacency mask per vertex.
+
+    `full` is the vertex mask of V.  `separations` is the table of
+    registered separation members: every S_k that
+    `seps.enumerate_separations` builds on this graph registers its members
+    here, keyed by their (A, B) vertex masks.
+    """
+
+    __slots__ = ("n", "edges", "vertices", "full", "adj", "separations", "_hash")
 
     def __init__(self, n, edges):
         edges = frozenset(frozenset(e) for e in edges)
+        adj = [0] * n
         for e in edges:
             if len(e) != 2:
                 raise ValueError("self-loop or malformed edge: %r" % (set(e),))
             for v in e:
                 if not (0 <= v < n):
                     raise ValueError("vertex %r out of range 0..%d" % (v, n - 1))
+            u, v = e
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
         self.n = n
         self.edges = edges
+        self.vertices = frozenset(range(n))
+        self.full = (1 << n) - 1
+        self.adj = tuple(adj)
+        self.separations = {}
         self._hash = hash((n, edges))
-
-    @property
-    def vertices(self):
-        return frozenset(range(self.n))
 
     def edge_tuples(self):
         return sorted(tuple(sorted(e)) for e in self.edges)
 
     def neighbors(self, v):
-        return {w for e in self.edges if v in e for w in e if w != v}
+        return mask_vertices(self.adj[v])
 
-    def induced_edges(self, X):
-        X = frozenset(X)
-        return {e for e in self.edges if e <= X}
+    def reach(self, seed, allowed):
+        """Mask of the vertices of `allowed` joined to the seed mask by
+        paths inside `allowed`; the seed is assumed to lie in `allowed`."""
+        adj = self.adj
+        seen = frontier = seed
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = adj[low.bit_length() - 1] & allowed & ~seen
+            seen |= new
+            frontier |= new
+        return seen
+
+    def component_masks(self, removed=0):
+        """Vertex masks of the components of G - removed, by smallest vertex."""
+        free = self.full & ~removed
+        comps = []
+        while free:
+            comp = self.reach(free & -free, free)
+            free ^= comp
+            comps.append(comp)
+        return comps
 
     def components(self, removed=frozenset()):
         """Connected components of G - removed, each a frozenset."""
-        removed = frozenset(removed)
-        seen = set(removed)
-        comps = []
-        for start in range(self.n):
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            seen.add(start)
-            while stack:
-                v = stack.pop()
-                for w in self.neighbors(v):
-                    if w not in seen:
-                        seen.add(w)
-                        comp.add(w)
-                        stack.append(w)
-            comps.append(frozenset(comp))
-        return comps
+        return [mask_vertices(c) for c in self.component_masks(vertex_mask(set(removed)))]
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        return self is other or (isinstance(other, Graph) and self.n == other.n
+                                 and self.edges == other.edges)
 
     def __hash__(self):
         return self._hash
@@ -68,14 +84,14 @@ def vertex_mask(vertices):
     return sum(1 << v for v in vertices)
 
 
+def mask_bits(mask):
+    """Vertices of an int bitmask, ascending, as a list."""
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
 def mask_vertices(mask):
     """Vertex set of an int bitmask."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
+    return frozenset(mask_bits(mask))
 
 
 def complete_graph(n):
@@ -106,27 +122,29 @@ def glue_cliques(blocks):
 
 
 @lru_cache(maxsize=None)
-def _min_vertex_cut_size(G, a, b):
-    """Minimum number of vertices (excluding a, b) separating non-adjacent a, b."""
-    if G.n <= 14:
-        # exhaustive: smallest X avoiding a,b with a,b in different components of G-X
-        others = sorted(G.vertices - {a, b})
-        from itertools import combinations
+def _min_vertex_cut_size(n, edges, a, b):
+    """Minimum number of vertices (excluding a, b) separating non-adjacent
+    a, b in the graph on 0..n-1 with the given edges.
+
+    Keyed by value, so the cache keeps no Graph alive.
+    """
+    if n <= 14:
+        # exhaustive: smallest X avoiding a,b with b out of reach of a in G-X
+        G = Graph(n, edges)
+        others = [v for v in range(n) if v != a and v != b]
         for size in range(len(others) + 1):
             for X in combinations(others, size):
-                comps = G.components(frozenset(X))
-                ca = next(c for c in comps if a in c)
-                if b not in ca:
+                if not G.reach(1 << a, G.full & ~vertex_mask(X)) >> b & 1:
                     return size
         raise AssertionError("unreachable: removing all other vertices separates")
     import networkx as nx
     H = nx.Graph()
-    H.add_nodes_from(range(G.n))
-    H.add_edges_from(tuple(e) for e in G.edges)
+    H.add_nodes_from(range(n))
+    H.add_edges_from(tuple(e) for e in edges)
     return len(nx.minimum_node_cut(H, a, b))
 
 
 def min_vertex_cut_size(G, a, b):
     if frozenset((a, b)) in G.edges:
         raise ValueError("no vertex cut between adjacent vertices")
-    return _min_vertex_cut_size(G, a, b)
+    return _min_vertex_cut_size(G.n, G.edges, a, b)

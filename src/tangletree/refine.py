@@ -4,7 +4,8 @@ interior exclusive stars, and the end-to-end pipeline."""
 from .errors import (EmulationFailure, HypothesisFailure, NotExclusiveAnywhere,
                      OutOfDomain, SearchExhausted, TooLarge, VerificationFailed)
 from .distinguish import DistinguisherTable, verify_premise
-from .seps import canonical, nested
+from .graphs import mask_bits
+from .seps import canonical, from_masks, nested
 from .tangles import (CoverFamily, check_star, closely_related, f_tangles,
                       interior, is_star, star_leq)
 from .trees import STree, NestedSet, TreeDecomposition, _nodes_structural
@@ -67,7 +68,8 @@ class _Fragment:
 
 
 def _cover_parts(sigma, F):
-    """Carving parts: sigma members, uncovered edges, padding singletons.
+    """Carving parts (kind, vertex mask, separation): sigma members,
+    uncovered edges, padding singletons.
 
     Every vertex of a non-sigma part must lie in a second part so that the
     leaf separation pointing into that part is co-small.
@@ -75,25 +77,36 @@ def _cover_parts(sigma, F):
     G = F.G
     parts = []
     for s in sorted(sigma, key=lambda x: x.sort_key):
-        parts.append(("sep", s.A, s))
+        parts.append(("sep", s.a, s))
     covered = 0
     for s in sigma:
-        covered |= F.masks[s.A][1]
-    for i, e in enumerate(G.edge_tuples()):
+        covered |= F.masks[s.a][1]
+    for i, m in enumerate(F.masks.edges):
         if not covered >> i & 1:
-            parts.append(("edge", frozenset(e), None))
-    count = {v: 0 for v in G.vertices}
-    for _, vs, _ in parts:
-        for v in vs:
-            count[v] += 1
-    edge_verts = {v for kind, vs, _ in parts if kind == "edge" for v in vs}
-    for v in sorted(G.vertices):
-        if count[v] == 0:
-            parts.append(("vertex", frozenset({v}), None))
-            parts.append(("vertex", frozenset({v}), None))
-        elif count[v] == 1 and v in edge_verts:
-            parts.append(("vertex", frozenset({v}), None))
+            parts.append(("edge", m, None))
+    once = twice = edge_verts = 0
+    for kind, m, _ in parts:
+        twice |= once & m
+        once |= m
+        if kind == "edge":
+            edge_verts |= m
+    for v in range(G.n):
+        if not once >> v & 1:
+            parts.append(("vertex", 1 << v, None))
+            parts.append(("vertex", 1 << v, None))
+        elif not twice >> v & 1 and edge_verts >> v & 1:
+            parts.append(("vertex", 1 << v, None))
     return parts
+
+
+def _subset_unions(ids, vm):
+    """Vertex and part masks of every subset of the parts ids, in counting
+    order: bit t of the index selects ids[t]."""
+    us, ps = [0], [0]
+    for i in ids:
+        us += [u | vm[i] for u in us]
+        ps += [p | 1 << i for p in ps]
+    return us, ps
 
 
 # expansions each search of refine_inessential may make (TooLarge)
@@ -106,63 +119,74 @@ def _carve_cover(sigma, F, S):
     Searches for a binary carving of the parts in which every partition
     separation has order below k; cover-style stars then lie in F without
     further checks.  Sigma parts are left un-emitted so the caller attaches
-    them as the excluded leaves.
+    them as the excluded leaves.  Part sets are int masks over the parts,
+    and a split is measured on the vertex masks of its two sides.
     """
-    from .seps import OrientedSeparation
     G = F.G
     parts = _cover_parts(sigma, F)
     L = len(parts)
-    vsets = [vs for (_, vs, _) in parts]
-    all_idx = frozenset(range(L))
+    vm = [m for (_, m, _) in parts]
+    all_idx = (1 << L) - 1
 
     def union(idx):
-        out = frozenset()
-        for i in idx:
-            out = out | vsets[i]
+        out = 0
+        for i in mask_bits(idx):
+            out |= vm[i]
         return out
+
+    # a one-part set of a sigma member is bounded by the member itself
+    single = {}
+    for i, (kind, m, s) in enumerate(parts):
+        if kind == "sep":
+            if union(all_idx ^ 1 << i) & ~s.b:
+                raise VerificationFailed("part separation %r does not bound its part" % (s,))
+            single[1 << i] = s
 
     def sep_for(idx):
         """Partition separation oriented away from the part set idx."""
-        A = union(idx)
-        B = union(all_idx - idx)
-        if len(idx) == 1 and parts[min(idx)][0] == "sep":
-            s = parts[min(idx)][2]
-            if s.A != A or not B <= s.B:
-                raise VerificationFailed("part separation %r does not bound its part" % (s,))
-            return s
-        return OrientedSeparation(G, A, B)
+        s = single.get(idx)
+        if s is None:
+            s = from_masks(G, union(idx), union(all_idx ^ idx))
+        return s
+
+    def measure(idx, a, b):
+        """(order, degenerate) of the separation sep_for(idx) = (a, b)."""
+        s = single.get(idx)
+        if s is not None:
+            return s.order, s.is_degenerate
+        return (a & b).bit_count(), a == b
 
     fail = set()
     left = [MAX_EXPANSIONS]
 
-    def splits(idx):
-        lst = sorted(idx)
-        rest = lst[1:]
-        # the first element stays on the left side, killing mirror splits
-        for mask in range(2 ** len(rest)):
-            Q = {lst[0]}
-            for i, p in enumerate(rest):
-                if mask >> i & 1:
-                    Q.add(p)
-            Q = frozenset(Q)
-            R = idx - Q
-            if R:
-                yield Q, R
-
     def build(idx):
         """Carving subtree for idx, or None; the boundary is already valid."""
-        if len(idx) == 1:
-            return ("leaf", min(idx))
+        if idx & (idx - 1) == 0:
+            return ("leaf", idx.bit_length() - 1)
         if idx in fail:
             return None
+        out = union(all_idx ^ idx)
+        first = idx & -idx
+        fv = vm[first.bit_length() - 1]
+        rest = mask_bits(idx ^ first)
+        # the first part stays on the left side, killing mirror splits; the
+        # subsets of the rest come in counting order, from two half tables
+        h = len(rest) // 2
+        lov, lop = _subset_unions(rest[:h], vm)
+        hiv, hip = _subset_unions(rest[h:], vm)
+        lm, hm = len(lov) - 1, len(hiv) - 1
         cands = []
-        for Q, R in splits(idx):
-            sq, sr = sep_for(Q), sep_for(R)
-            if sq.order >= F.k or sr.order >= F.k:
+        for m in range(2 ** len(rest) - 1):
+            lo, hi = m & lm, m >> h
+            uq = fv | lov[lo] | hiv[hi]
+            ur = lov[lo ^ lm] | hiv[hi ^ hm]
+            Q = first | lop[lo] | hip[hi]
+            R = idx ^ Q
+            oq, dq = measure(Q, uq, ur | out)
+            orr, dr = measure(R, ur, uq | out)
+            if oq >= F.k or orr >= F.k or dq or dr:
                 continue
-            if sq.is_degenerate or sr.is_degenerate:
-                continue
-            cands.append((max(sq.order, sr.order), min(len(Q), len(R)) > 1, Q, R))
+            cands.append((max(oq, orr), min(Q.bit_count(), R.bit_count()) > 1, Q, R))
             if len(cands) > 5000:
                 break
         cands.sort(key=lambda c: (c[0], c[1]))
@@ -203,7 +227,7 @@ def _carve_cover(sigma, F, S):
             members.add(parent_sep.inv)
         kids = []
         for t in (t1, t2):
-            sub_idx = t[1] if t[0] == "node" else frozenset({t[1]})
+            sub_idx = t[1] if t[0] == "node" else 1 << t[1]
             s = sep_for(sub_idx)
             members.add(s)
             kids.append((t, s))

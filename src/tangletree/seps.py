@@ -9,64 +9,81 @@ tree machinery is generic over both.
 from itertools import combinations
 
 from .errors import CrossingEdge, MismatchedGround, NotACover, NotInSystem, TooLarge
+from .graphs import mask_bits, mask_vertices, vertex_mask
 
 MAX_VERTICES = 16
 MAX_SYSTEM = 2 ** 20
 
 
 class OrientedSeparation:
-    __slots__ = ("graph", "A", "B", "_hash")
+    """(A, B) held as int vertex masks a and b.
 
-    def __init__(self, graph, A, B):
-        self.graph = graph
-        self.A = frozenset(A)
-        self.B = frozenset(B)
-        self._hash = hash((graph, self.A, self.B))
+    The members of an enumerated S_k are registered on their graph
+    (`Graph.separations`, keyed by (a, b)) and paired with their inverses,
+    so `inv` is a slot read and a join or meet inside S_k returns the
+    member.  Any other (A, B) is a fresh object that is not registered; its
+    inverse is cached one way only.  `inv`, `sort_key`, the hash and the
+    vertex sets `A` and `B` are filled in on first use.
+    """
+
+    __slots__ = ("graph", "a", "b", "order", "inv", "sort_key", "A", "B", "_hash")
+
+    def __new__(cls, graph, A, B):
+        return from_masks(graph, vertex_mask(frozenset(A)), vertex_mask(frozenset(B)))
+
+    def __getattr__(self, name):
+        # reached only while one of the slots below is unset
+        if name == "inv":
+            value = from_masks(self.graph, self.b, self.a)
+        elif name == "sort_key":
+            ta, tb = tuple(mask_bits(self.a)), tuple(mask_bits(self.b))
+            value = (self.order, len(ta), ta, tb)
+        elif name == "_hash":
+            value = hash((self.graph, mask_vertices(self.a), mask_vertices(self.b)))
+        elif name == "A":
+            value = mask_vertices(self.a)
+        elif name == "B":
+            value = mask_vertices(self.b)
+        else:
+            raise AttributeError(name)
+        setattr(self, name, value)
+        return value
 
     # -- element protocol --
 
-    @property
-    def inv(self):
-        return OrientedSeparation(self.graph, self.B, self.A)
-
-    @property
-    def order(self):
-        return len(self.A & self.B)
-
     def leq(self, other):
-        _check_ground(self, other)
-        return self.A <= other.A and other.B <= self.B
+        if other.__class__ is not OrientedSeparation or other.graph is not self.graph:
+            _check_ground(self, other)
+        return not (self.a & ~other.a or other.b & ~self.b)
 
     def join(self, other):
-        _check_ground(self, other)
-        return OrientedSeparation(self.graph, self.A | other.A, self.B & other.B)
+        if other.__class__ is not OrientedSeparation or other.graph is not self.graph:
+            _check_ground(self, other)
+        return from_masks(self.graph, self.a | other.a, self.b & other.b)
 
     def meet(self, other):
-        _check_ground(self, other)
-        return OrientedSeparation(self.graph, self.A & other.A, self.B | other.B)
+        if other.__class__ is not OrientedSeparation or other.graph is not self.graph:
+            _check_ground(self, other)
+        return from_masks(self.graph, self.a & other.a, self.b | other.b)
 
     @property
     def is_small(self):
-        return self.A <= self.B
+        return not self.a & ~self.b
 
     @property
     def is_cosmall(self):
-        return self.B <= self.A
+        return not self.b & ~self.a
 
     @property
     def is_degenerate(self):
-        return self.A == self.B
-
-    @property
-    def sort_key(self):
-        return (self.order, len(self.A), tuple(sorted(self.A)), tuple(sorted(self.B)))
+        return self.a == self.b
 
     # -- value semantics --
 
     def __eq__(self, other):
-        return (isinstance(other, OrientedSeparation)
-                and self.graph == other.graph
-                and self.A == other.A and self.B == other.B)
+        return self is other or (other.__class__ is OrientedSeparation
+                                 and self.a == other.a and self.b == other.b
+                                 and self.graph == other.graph)
 
     def __hash__(self):
         return self._hash
@@ -75,17 +92,29 @@ class OrientedSeparation:
         return self.sort_key < other.sort_key
 
     def __repr__(self):
-        return "({%s},{%s})" % (",".join(map(str, sorted(self.A))),
-                                ",".join(map(str, sorted(self.B))))
+        return "({%s},{%s})" % (",".join(map(str, self.sort_key[2])),
+                                ",".join(map(str, self.sort_key[3])))
+
+
+def from_masks(graph, a, b):
+    """The registered member (a, b) of graph, else a fresh separation."""
+    s = graph.separations.get((a, b))
+    if s is None:
+        s = object.__new__(OrientedSeparation)
+        s.graph, s.a, s.b = graph, a, b
+        s.order = (a & b).bit_count()
+    return s
 
 
 def canonical(s):
     """Canonical orientation of the underlying unoriented separation."""
-    return min(s, s.inv, key=lambda x: x.sort_key)
+    t = s.inv
+    return s if s.sort_key <= t.sort_key else t
 
 
 def _check_ground(a, b):
-    if getattr(a, "graph", None) != getattr(b, "graph", None):
+    ga, gb = getattr(a, "graph", None), getattr(b, "graph", None)
+    if ga is not gb and ga != gb:
         raise MismatchedGround("separations of different graphs")
 
 
@@ -129,7 +158,7 @@ def nested(a, b):
 class SeparationSystem:
     """A finite involution-closed set of oriented separations (or elements)."""
 
-    __slots__ = ("ground", "oriented", "k", "_hash")
+    __slots__ = ("ground", "oriented", "k", "_bound", "_hash")
 
     def __init__(self, ground, oriented, k=None):
         oriented = frozenset(oriented)
@@ -139,9 +168,14 @@ class SeparationSystem:
         self.ground = ground
         self.oriented = oriented
         self.k = k
+        # with every member of order below k, a join or meet of order k or
+        # more is outside the system before it is hashed
+        self._bound = k if k is not None and all(s.order < k for s in oriented) else None
         self._hash = hash((ground, oriented, k))
 
     def __contains__(self, s):
+        if self._bound is not None and s.order >= self._bound:
+            return False
         return s in self.oriented
 
     def __iter__(self):
@@ -190,19 +224,27 @@ def classify(s, S):
 
 
 def _separator_sweep(G, k):
+    """S_k(G) as registered members, inverses paired."""
+    table = G.separations
     out = set()
-    verts = sorted(G.vertices)
     for size in range(min(k, G.n + 1)):
-        for X in combinations(verts, size):
-            X = frozenset(X)
-            comps = G.components(X)
+        for X in combinations(range(G.n), size):
+            x = vertex_mask(X)
+            comps = G.component_masks(x)
             if len(comps) > 20:
                 raise TooLarge("too many components for separator sweep")
             for r in range(len(comps) + 1):
                 for side in combinations(comps, r):
-                    A = X.union(*side) if side else X
-                    B = X.union(*(c for c in comps if c not in side)) if len(side) < len(comps) else X
-                    out.add(OrientedSeparation(G, A, B))
+                    a = x
+                    for c in side:
+                        a |= c
+                    b = G.full ^ a ^ x
+                    s = table.get((a, b))
+                    if s is None:
+                        s = table[(a, b)] = from_masks(G, a, b)
+                    out.add(s)
+    for s in out:
+        s.inv = table[(s.b, s.a)]
     return out
 
 

@@ -4,7 +4,7 @@ from itertools import combinations
 
 from .errors import (HypothesisFailure, Indistinct, NotAStar, NotInProfile,
                      VerificationFailed)
-from .graphs import vertex_mask
+from .graphs import mask_vertices, vertex_mask
 from .seps import canonical
 
 
@@ -32,10 +32,10 @@ def check_star(members):
 
 def interior(star, ground):
     """Intersection of the B-sides; the whole ground vertex set for the empty star."""
-    out = ground.vertices
+    out = ground.full
     for s in star:
-        out = out & s.B
-    return out
+        out &= s.b
+    return mask_vertices(out)
 
 
 def star_leq(sigma, tau):
@@ -143,20 +143,20 @@ class StarFamily:
 
 
 class SideMasks(dict):
-    """Vertex and edge masks of the A-sides of G, memoised by A.
+    """Vertex and edge masks of the A-sides of G, memoised by the vertex mask.
 
     Bit i of an edge mask is set when the i-th edge of G.edge_tuples() lies
-    inside A, so masks[U] is also the target (vertices, induced edges) of U.
+    inside A, so masks[vertex_mask(U)] is also the target (vertices, induced
+    edges) of U.
     """
 
     def __init__(self, G):
         super().__init__()
         self.edges = [vertex_mask(e) for e in G.edge_tuples()]
 
-    def __missing__(self, A):
-        v = vertex_mask(A)
-        self[A] = v, sum(1 << i for i, m in enumerate(self.edges) if v & m == m)
-        return self[A]
+    def __missing__(self, v):
+        self[v] = v, sum(1 << i for i, m in enumerate(self.edges) if v & m == m)
+        return self[v]
 
 
 def covering_subset(members, masks, target, fixed=(), accept=None):
@@ -170,11 +170,11 @@ def covering_subset(members, masks, target, fixed=(), accept=None):
     tv, te = target
     cv = ce = 0
     for s in fixed:
-        v, e = masks[s.A]
+        v, e = masks[s.a]
         cv, ce = cv | v & tv, ce | e & te
     lst = []
     for s in members:
-        v, e = masks[s.A]
+        v, e = masks[s.a]
         v &= tv
         lst.append((-v.bit_count(), s.sort_key, s, v, e & te))
     lst.sort(key=lambda x: x[:2])
@@ -219,7 +219,7 @@ class CoverFamily:
         self.stars_only = stars_only
         self.tag = "Tkstars" if stars_only else "Tk"
         self.masks = SideMasks(G)
-        self._full = self.masks[G.vertices]
+        self._full = self.masks[G.full]
         self._accept = is_star if stars_only else None
 
     def _cover(self, members, fixed=()):

@@ -9,6 +9,12 @@ from tangletree.tangles import (Orientation, _backtrack_orientations,
                                 same_separation)
 
 
+def induced_edges(G, X):
+    """The edges of G with both ends in X."""
+    X = frozenset(X)
+    return {e for e in G.edges if e <= X}
+
+
 def brute_force_separations(G, k):
     """S_k(G) by sweeping all ordered subset pairs through validation."""
     out = set()
@@ -257,7 +263,7 @@ def reference_cover_contains(F, seps):
         return False
     covered = set()
     for s in seps:
-        covered |= G.induced_edges(s.A)
+        covered |= induced_edges(G, s.A)
     return covered == G.edges and (not F.stars_only or is_star(seps))
 
 
@@ -326,7 +332,7 @@ def reference_witnesses(U, tau):
     members = sorted((s for s in tau if not s.is_degenerate), key=lambda s: s.sort_key)
     if not members:
         return True
-    H_edges = members[0].graph.induced_edges(U)
+    H_edges = induced_edges(members[0].graph, U)
     for r in range(1, 4):
         for sub in combinations(members, r):
             if frozenset().union(*(s.A for s in sub)) & U != U:

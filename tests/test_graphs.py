@@ -1,7 +1,10 @@
 """Graph model and vertex-cut basics."""
 
+import gc
+
 import pytest
 
+from oracles import induced_edges
 from tangletree.examples import bridged_cliques
 from tangletree.graphs import (Graph, complete_graph, cycle_graph,
                                glue_cliques, min_vertex_cut_size, path_graph)
@@ -44,7 +47,18 @@ def test_min_vertex_cut_large_graph_matches_known_value():
     assert min_vertex_cut_size(G, 0, 8) == 1
 
 
+def test_vertex_cut_cache_keeps_no_graph_alive():
+    # an 11-cycle with one chord: a graph no other test builds
+    G = Graph(11, [(i, (i + 1) % 11) for i in range(11)] + [(0, 5)])
+    key = (G.n, G.edges)
+    assert min_vertex_cut_size(G, 1, 7) == 2
+    del G
+    gc.collect()
+    assert not any(isinstance(o, Graph) and (o.n, o.edges) == key
+                   for o in gc.get_objects())
+
+
 def test_induced_edges():
     G = complete_graph(4)
-    assert len(G.induced_edges({0, 1, 2})) == 3
-    assert G.induced_edges({0}) == set()
+    assert len(induced_edges(G, {0, 1, 2})) == 3
+    assert induced_edges(G, {0}) == set()
