@@ -1,14 +1,17 @@
 """Graph-case refinement: shifting, inessential-star refinement, minimal
 interior exclusive stars, and the end-to-end pipeline."""
 
+from itertools import combinations
+
 from .errors import (EmulationFailure, HypothesisFailure, NotExclusiveAnywhere,
                      OutOfDomain, SearchExhausted, TooLarge, VerificationFailed)
-from .distinguish import DistinguisherTable, verify_premise
+from .distinguish import DistinguisherTable
 from .graphs import mask_bits
 from .seps import canonical, from_masks, nested
-from .tangles import (CoverFamily, check_star, closely_related, f_tangles,
-                      interior, is_star, star_leq)
-from .trees import STree, NestedSet, TreeDecomposition, _nodes_structural
+from .tangles import (CoverFamily, check_star, closely_related, distinguishes,
+                      f_tangles, interior, is_star, star_leq)
+from .trees import (STree, NestedSet, TreeDecomposition, _nodes_structural,
+                    to_stree)
 
 
 class ShiftContext:
@@ -492,10 +495,7 @@ def min_interior_exclusive_star(tau, sigma, tangles):
     if not dom:
         raise VerificationFailed(
             "no minimal-interior exclusive star dominates sigma")
-    rho = dom[0]
-    if not star_leq(sigma, rho) or len(interior(rho, G)) != best_size:
-        raise VerificationFailed("exclusive star %r lost dominance or minimality" % (sorted(rho),))
-    return rho
+    return dom[0]
 
 
 def closeness_repair(rho, pivot, tau):
@@ -512,71 +512,75 @@ def closeness_repair(rho, pivot, tau):
 # ------------------------------------------------------------- pipeline
 
 
-def theorem_1_2(G, k, F, N_tilde, tangles=None):
-    """Refine N_tilde so inessential nodes lie in F and essential nodes have
-    minimal interior among the exclusive stars of their tangle.
-
-    Returns (N, TD).
-    """
-    S = N_tilde.system
-    if tangles is None:
-        tangles = f_tangles(S, F)
-    table = DistinguisherTable.of(tangles)
-    ts = table.tangles
-
+def _premise(N_tilde, ts, member_ok):
+    """Premise of the refinement theorems: N_tilde distinguishes every pair
+    of the tangles ts, and member_ok holds for each of its members."""
+    for i, j in combinations(range(len(ts)), 2):
+        if not any(distinguishes(s, ts[i], ts[j]) for s in N_tilde):
+            raise HypothesisFailure(
+                "premise fails: tangles %d and %d are not distinguished" % (i, j))
     if ts:
-        rep = verify_premise(N_tilde, table)
-        if not (rep["distinguishes_all"] and rep["each_member_efficient"]):
-            raise HypothesisFailure("premise fails: %r" % (rep["witnesses"],))
+        for s in N_tilde:
+            if not member_ok(s):
+                raise HypothesisFailure("premise fails for the member %r" % (s,))
 
-    # working tree
+
+def _refine(S, F, N_tilde, ts, step, keep=()):
+    """The refinement loop of Theorems 1.2 and 1.3, on a working S-tree.
+
+    Starts from the S-tree of N_tilde and visits its nodes by id.  A node
+    home to a tangle tau is handed to step(star, tau), which returns the
+    theorem's star for tau and the separations it adds; the nodes of the
+    node's star plus those separations replace the node, the returned star
+    is essential and every other new node is visited in turn.  A node home
+    to no tangle is replaced by the S-tree of refine_inessential, unless an
+    essential step made it and it already lies in F.  Nodes whose star is
+    in keep stay as they are.
+
+    Certifies that N refines N_tilde and that every inessential node lies
+    in F.  Returns (N, tree, homes): the refined nested set, its S-tree, and
+    per node of the tree its tangle, or None.
+    """
     if N_tilde.members:
-        from .trees import to_stree
         t0 = to_stree(N_tilde)
-        stars = {i: st for i, st in enumerate(t0.stars)}
+        stars = dict(enumerate(t0.stars))
         alpha = dict(t0.alpha)
-        next_id = [len(t0.stars)]
     else:
         stars = {0: frozenset()}
         alpha = {}
-        next_id = [1]
-    status = {i: "pending" for i in stars}
+    next_id = len(stars)
+    status = {i: "kept" if st in keep else "pending" for i, st in stars.items()}
+    home = {}
     from_essential = set()
-
-    def neighbors(i):
-        return sorted(j for (a, j) in alpha if a == i)
 
     def splice(t, frag_stars, frag_alpha, boundary):
         """Replace node t by a fragment; boundary maps each member s of the
         old star to the fragment node that takes over its edge."""
+        nonlocal next_id
         old_neighbors = {}
-        for j in neighbors(t):
-            s = alpha[(j, t)]          # points toward t
-            old_neighbors[s] = j
-            del alpha[(j, t)]
+        for j in sorted(j for (a, j) in alpha if a == t):
+            s = alpha.pop((j, t))          # points toward t
             del alpha[(t, j)]
+            old_neighbors[s] = j
         del stars[t]
         del status[t]
-        ids = {}
-        for local, st in enumerate(frag_stars):
-            ids[local] = next_id[0]
-            next_id[0] += 1
-            stars[ids[local]] = st
-            status[ids[local]] = "new"
+        ids = list(range(next_id, next_id + len(frag_stars)))
+        next_id += len(frag_stars)
+        stars.update(zip(ids, frag_stars))
         for (a, b), x in frag_alpha.items():
             alpha[(ids[a], ids[b])] = x
         for s, local in boundary.items():
             j = old_neighbors[s]
             alpha[(j, ids[local])] = s
             alpha[(ids[local], j)] = s.inv
-        return [ids[local] for local in range(len(frag_stars))]
+        return ids
 
     rounds = 0
-    while any(v == "pending" or v == "new" for v in status.values()):
+    while "pending" in status.values():
         rounds += 1
         if rounds > 10 * (len(S) + 2):
-            raise VerificationFailed("pipeline did not converge")
-        t = min(i for i, v in status.items() if v in ("pending", "new"))
+            raise VerificationFailed("refinement did not converge")
+        t = min(i for i, v in status.items() if v == "pending")
         st = stars[t]
         owners = [P for P in ts if all(s in P for s in st)]
         if len(owners) > 1:
@@ -593,71 +597,76 @@ def theorem_1_2(G, k, F, N_tilde, tangles=None):
                             if x == frozenset({s.inv}) and i >= n_internal)
                 (host,) = [j for (i, j) in tree.alpha if i == leaf]
                 boundary[s] = host
-            frag_stars = tree.stars[:n_internal]
             frag_alpha = {(i, j): x for (i, j), x in tree.alpha.items()
                           if i < n_internal and j < n_internal}
-            new_ids = splice(t, frag_stars, frag_alpha, boundary)
-            for i in new_ids:
-                if stars[i] not in F:
-                    raise VerificationFailed("spliced star %r is not in F" % (sorted(stars[i]),))
+            for i in splice(t, tree.stars[:n_internal], frag_alpha, boundary):
                 status[i] = "inessential"
-        else:
-            tau = owners[0]
-            sig2 = min_interior_exclusive_star(tau, st, table)
-            if sig2 == st:
-                status[t] = "essential"
-                continue
-            M = sorted({canonical(x) for x in set(st) | set(sig2)},
-                       key=lambda x: x.sort_key)
-            local = NestedSet(S, M)
-            lstars = sorted(_nodes_structural(local),
-                            key=lambda x: sorted(s.sort_key for s in x))
-            inside = [x for x in lstars
-                      if not any(s.inv in x for s in st)]
-            idx = {x: i for i, x in enumerate(inside)}
-            frag_alpha = {}
-            boundary = {}
-            for m in M:
-                for mo in (m, m.inv):
-                    homes = [x for x in inside if mo in x]
-                    anti = [x for x in inside if mo.inv in x]
-                    if homes and anti:
-                        i, j = idx[anti[0]], idx[homes[0]]
-                        frag_alpha[(i, j)] = mo
-                        frag_alpha[(j, i)] = mo.inv
-            for s in st:
-                host = next(x for x in inside if s in x)
-                boundary[s] = idx[host]
-            covered = ({canonical(m) for (_, _), m in frag_alpha.items()}
-                       | {canonical(s) for s in st})
-            if covered != {canonical(m) for m in M}:
-                raise VerificationFailed("local tree surgery lost an edge")
-            new_ids = splice(t, inside, frag_alpha, boundary)
-            for i, x in zip(new_ids, inside):
-                if x == sig2:
-                    status[i] = "essential"
-                else:
-                    status[i] = "pending"
-                    from_essential.add(i)
+            continue
+        tau = owners[0]
+        target, added = step(st, tau)
+        if target == st:
+            status[t] = "essential"
+            home[t] = tau
+            continue
+        M = sorted({canonical(x) for x in set(st) | set(added)},
+                   key=lambda x: x.sort_key)
+        lstars = sorted(_nodes_structural(NestedSet(S, M)),
+                        key=lambda x: sorted(s.sort_key for s in x))
+        inside = [x for x in lstars if not any(s.inv in x for s in st)]
+        idx = {x: i for i, x in enumerate(inside)}
+        frag_alpha = {}
+        for m in M:
+            for mo in (m, m.inv):
+                homes = [x for x in inside if mo in x]
+                anti = [x for x in inside if mo.inv in x]
+                if homes and anti:
+                    i, j = idx[anti[0]], idx[homes[0]]
+                    frag_alpha[(i, j)] = mo
+                    frag_alpha[(j, i)] = mo.inv
+        boundary = {s: idx[next(x for x in inside if s in x)] for s in st}
+        covered = ({canonical(m) for m in frag_alpha.values()}
+                   | {canonical(s) for s in st})
+        if covered != set(M):
+            raise VerificationFailed("local tree surgery lost an edge")
+        for i, x in zip(splice(t, inside, frag_alpha, boundary), inside):
+            if x == target:
+                status[i] = "essential"
+                home[i] = tau
+            else:
+                status[i] = "pending"
+                from_essential.add(i)
 
-    # assemble
     order = sorted(stars)
     remap = {i: n for n, i in enumerate(order)}
-    final_stars = [stars[i] for i in order]
     final_alpha = {(remap[a], remap[b]): x for (a, b), x in alpha.items()}
-    final_edges = sorted({(min(a, b), max(a, b)) for (a, b) in final_alpha})
-    tree = STree(final_stars, final_edges, final_alpha)
-    members = [canonical(x) for x in tree.alpha.values()]
-    N = NestedSet(S, members)
-    from .trees import refines
-    if not refines(N, N_tilde):
+    edges = {(min(a, b), max(a, b)) for (a, b) in final_alpha}
+    tree = STree([stars[i] for i in order], edges, final_alpha)
+    N = NestedSet(S, final_alpha.values())
+    if not N_tilde.members <= N.members:
         raise VerificationFailed("the refinement dropped a premise separation")
-    bags = [interior(x, G) for x in final_stars]
-    TD = TreeDecomposition(G, bags, final_edges)
+    for i in order:
+        if status[i] == "inessential" and stars[i] not in F:
+            raise VerificationFailed("inessential node %r is not in F" % (sorted(stars[i]),))
+    return N, tree, [home.get(i) for i in order]
+
+
+def theorem_1_2(G, k, F, N_tilde, tangles=None):
+    """Refine N_tilde so inessential nodes lie in F and essential nodes have
+    minimal interior among the exclusive stars of their tangle.
+
+    The essential step is min_interior_exclusive_star.  Returns (N, TD).
+    """
+    S = N_tilde.system
+    table = DistinguisherTable.of(f_tangles(S, F) if tangles is None else tangles)
+    _premise(N_tilde, table.tangles, lambda s: table.efficient_pair(s) is not None)
+
+    def step(st, tau):
+        sig2 = min_interior_exclusive_star(tau, st, table)
+        return sig2, sig2
+
+    N, tree, _ = _refine(S, F, N_tilde, table.tangles, step)
+    TD = TreeDecomposition(G, [interior(x, G) for x in tree.stars], tree.edges)
     ok, w = TD.is_valid()
     if not ok:
         raise VerificationFailed("refined bags are not a tree-decomposition: %r" % (w,))
-    for i in range(len(final_stars)):
-        if status[order[i]] == "inessential" and final_stars[i] not in F:
-            raise VerificationFailed("inessential node %r is not in F" % (sorted(final_stars[i]),))
     return N, TD

@@ -289,7 +289,3 @@ def validate_td(G, k, TD, tangles):
     report["distinguishes_all"] = distinguished == set(table.pairs())
     return report
 
-
-def refines(N, N_tilde):
-    """N refines N_tilde when N_tilde is a subset of N."""
-    return N_tilde.members <= N.members

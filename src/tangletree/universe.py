@@ -9,10 +9,12 @@ from itertools import combinations
 from .errors import (HypothesisFailure, NonDistributive, NotInSystem,
                      ParseError, StepBudgetExceeded, TooLarge,
                      VerificationFailed)
+from .refine import _premise, _refine, enumerate_stars, proper_members
 from .seps import SeparationSystem, canonical, enumerate_separations, nested
 from .tangles import (StarFamily, check_star, check_star_family,
-                      closely_related, distinguishes, f_tangles, is_good,
-                      is_star, regular_profiles, star_leq)
+                      closely_related, f_tangles, is_good, is_star,
+                      regular_profiles, star_leq)
+from .trees import NestedSet, nodes
 
 # vertex cap of the graph-backed universes: of_graph and bipartitions
 UNIVERSE_CAP = 8
@@ -581,7 +583,6 @@ def near_max_star(sigma, P, tangles=None):
 def _profile_stars(P):
     """An iterator over the stars of proper members of P; TooLarge at once
     when P has more than STAR_CAP proper members."""
-    from .refine import enumerate_stars, proper_members
     props = proper_members(P)
     if len(props) > STAR_CAP:
         raise TooLarge("%d proper members exceed the enumeration cap %d"
@@ -641,6 +642,30 @@ def _require_friendly(S, F):
             raise HypothesisFailure("T' is not contained in F: %r" % (sorted(el),))
 
 
+def _maximal_step(S, F, ts):
+    """The essential step of Theorem 1.3 for the refinement driver: a
+    near-maximal star sp above the node's star sigma, then a maximal star
+    spp in the tangle above sp.  It adds sp's proper members and spp."""
+
+    def step(sigma, P):
+        # near_max_star checks that every member of sigma is good
+        sp = near_max_star(sigma, P, tangles=ts)
+        spp = maximal_star_above(sp, P)
+        # near-maximality puts every node between the two stars into F directly;
+        # nodes home to a tangle and the sigma leaves bounding the tree are exempt
+        proper_sp = frozenset(s for s in sp if not s.is_small and not s.is_degenerate)
+        leaf_allowed = {frozenset({s.inv}) for s in sigma}
+        for node in nodes(NestedSet(S, {canonical(x) for x in proper_sp | spp})):
+            if node in leaf_allowed or any(all(x in Q for x in node) for Q in ts):
+                continue
+            if node not in F:
+                raise VerificationFailed(
+                    "cap node %r escaped F despite near-maximality" % (sorted(node),))
+        return spp, proper_sp | spp
+
+    return step
+
+
 def refine_essential_abstract(sigma, P, F, tangles):
     """S-tree refining the essential star sigma up to a maximal star in P.
 
@@ -650,120 +675,47 @@ def refine_essential_abstract(sigma, P, F, tangles):
     S = P.system
     sigma = check_star(sigma)
     _require_friendly(S, F)
-    return _refine_essential(sigma, P, F, list(tangles))
-
-
-def _refine_essential(sigma, P, F, ts):
-    """refine_essential_abstract for a checked star sigma and an F that
-    `_require_friendly` has accepted."""
-    from .refine import refine_inessential
-    from .trees import NestedSet, nodes, to_stree
-    S = P.system
+    ts = list(tangles)
     owners = [Q for Q in ts if all(s in Q for s in sigma)]
     if len(owners) != 1 or owners[0] != P:
         raise HypothesisFailure("sigma must be home to exactly the given tangle")
-    # near_max_star checks that every member of sigma is good
-    sp = near_max_star(sigma, P, tangles=ts)
-    spp = maximal_star_above(sp, P)
-    # near-maximality puts every node between the two stars into F directly;
-    # nodes home to a tangle and the sigma leaves bounding the tree are exempt
-    proper_sp = frozenset(s for s in sp if not s.is_small and not s.is_degenerate)
-    leaf_allowed = {frozenset({s.inv}) for s in sigma}
-    mid = NestedSet(S, {canonical(x) for x in proper_sp | set(spp)})
-    for node in nodes(mid):
-        if any(all(x in Q for x in node) for Q in ts):
-            continue
-        if node in leaf_allowed:
-            continue
-        if node not in F:
-            raise VerificationFailed(
-                "cap node %r escaped F despite near-maximality" % (sorted(node),))
-
-    members = {canonical(x) for x in set(sigma) | proper_sp | set(spp)}
-    for node in nodes(NestedSet(S, members)):
-        if any(all(x in Q for x in node) for Q in ts):
-            continue
-        if node in leaf_allowed:
-            continue
-        if node in F:
-            continue
-        sub = refine_inessential(node, F, S, ts)
-        members |= {canonical(x) for x in sub.separations()}
-
-    tree = to_stree(NestedSet(S, members))
+    leaves = {frozenset({s.inv}) for s in sigma}
+    _, tree, _ = _refine(S, F, NestedSet(S, sigma), ts, _maximal_step(S, F, ts),
+                         keep=leaves)
     leaf = set(tree.leaf_separations())
     for s in sigma:
         if s not in leaf:
             raise VerificationFailed("%r is not a leaf separation" % (s,))
-    for st in tree.stars:
-        if any(all(x in Q for x in st) for Q in ts):
-            continue
-        if st in leaf_allowed:
-            continue
-        if st not in F:
-            raise VerificationFailed("refined node %r is not in F" % (sorted(st),))
     return tree
 
 
 def theorem_1_3(S, F, N_tilde, tangles=None):
     """Refine N_tilde so inessential nodes lie in F and essential nodes are
-    maximal stars in their tangles; requires a distributive universe."""
-    from .refine import refine_inessential
-    from .trees import NestedSet, nodes
+    maximal stars in their tangles; requires a distributive universe.
+
+    The essential step is `_maximal_step`.  Returns N.
+    """
     probe = next(iter(S), None)
     if (isinstance(probe, UniverseElement)
             and not require_lattice(probe.universe)["distributive"]):
         raise NonDistributive("the refinement theorem needs a distributive universe")
-    if tangles is None:
-        tangles = f_tangles(S, F)
-    ts = list(tangles)
-    if len(ts) >= 2:
-        for s in N_tilde:
-            if not is_good(s, ts)[0]:
-                raise HypothesisFailure("%r is not good for the tangles" % (s,))
-    for i in range(len(ts)):
-        for j in range(i + 1, len(ts)):
-            if not any(distinguishes(s, ts[i], ts[j]) for s in N_tilde):
-                raise HypothesisFailure(
-                    "the nested set does not distinguish tangles %d and %d" % (i, j))
-
-    members = set(N_tilde.members)
-    for node in nodes(NestedSet(S, members)):
-        if any(all(x in Q for x in node) for Q in ts):
-            continue
-        if node in F:
-            continue
-        sub = refine_inessential(node, F, S, ts)
-        members |= {canonical(x) for x in sub.separations()}
-
+    ts = list(f_tangles(S, F) if tangles is None else tangles)
+    _premise(N_tilde, ts, lambda s: is_good(s, ts)[0])
     if ts:
         _require_friendly(S, F)
-    for P in ts:
-        home = [node for node in nodes(NestedSet(S, members))
-                if all(x in P for x in node)]
-        if len(home) != 1:
-            raise VerificationFailed("tangle is home to %d nodes" % len(home))
-        tree = _refine_essential(check_star(home[0]), P, F, ts)
-        members |= {canonical(x) for x in tree.separations()}
-
-    N = NestedSet(S, members)
-    if not N_tilde.members <= N.members:
-        raise VerificationFailed("the refinement dropped a premise separation")
-    for node in nodes(N):
-        owners = [Q for Q in ts if all(x in Q for x in node)]
-        if owners:
-            try:
-                ok, w = is_maximal_star(node, owners[0])
-            except TooLarge:
-                warnings.warn("essential-node maximality left uncertified "
-                              "(profile too large to enumerate)")
-                continue
-            if not ok:
-                raise VerificationFailed(
-                    "essential node %r is exceeded by %r" % (sorted(node), sorted(w)))
-        elif node not in F:
+    N, tree, homes = _refine(S, F, N_tilde, ts, _maximal_step(S, F, ts))
+    for node, P in zip(tree.stars, homes):
+        if P is None:
+            continue
+        try:
+            ok, w = is_maximal_star(node, P)
+        except TooLarge:
+            warnings.warn("essential-node maximality left uncertified "
+                          "(profile too large to enumerate)")
+            continue
+        if not ok:
             raise VerificationFailed(
-                "inessential node %r is not in F" % (sorted(node),))
+                "essential node %r is exceeded by %r" % (sorted(node), sorted(w)))
     return N
 
 

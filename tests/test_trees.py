@@ -13,7 +13,7 @@ from tangletree.graphs import path_graph
 from tangletree.seps import canonical, enumerate_separations, nested, separation
 from tangletree.tangles import CoverFamily, f_tangles
 from tangletree.trees import (NestedSet, TreeDecomposition, check_regular,
-                              nodes, refines, to_stree,
+                              nodes, to_stree,
                               to_tree_decomposition, validate_td)
 
 
@@ -110,7 +110,6 @@ def test_tree_decomposition_from_nested_set():
     assert TD.adhesion() == 1
     rep = validate_td(G, 3, TD, ts)
     assert rep["valid"] and rep["distinguishes_all"]
-    assert refines(N, N)
 
 
 def test_td_validity_witnesses():
