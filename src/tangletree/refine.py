@@ -10,8 +10,7 @@ from .graphs import mask_bits
 from .seps import canonical, from_masks, nested
 from .tangles import (CoverFamily, check_star, closely_related, distinguishes,
                       f_tangles, interior, is_star, star_leq)
-from .trees import (STree, NestedSet, TreeDecomposition, _nodes_structural,
-                    to_stree)
+from .trees import STree, NestedSet, TreeDecomposition, to_stree
 
 
 class ShiftContext:
@@ -541,39 +540,37 @@ def _refine(S, F, N_tilde, ts, step, keep=()):
     in F.  Returns (N, tree, homes): the refined nested set, its S-tree, and
     per node of the tree its tangle, or None.
     """
-    if N_tilde.members:
-        t0 = to_stree(N_tilde)
-        stars = dict(enumerate(t0.stars))
-        alpha = dict(t0.alpha)
-    else:
-        stars = {0: frozenset()}
-        alpha = {}
+    t0 = to_stree(N_tilde)
+    stars = dict(enumerate(t0.stars))
+    alpha = dict(t0.alpha)
     next_id = len(stars)
     status = {i: "kept" if st in keep else "pending" for i, st in stars.items()}
     home = {}
     from_essential = set()
 
-    def splice(t, frag_stars, frag_alpha, boundary):
-        """Replace node t by a fragment; boundary maps each member s of the
-        old star to the fragment node that takes over its edge."""
+    def splice(t, local, inside):
+        """Replace node t by the nodes `inside` of the S-tree local, whose
+        other nodes are leaves across the members of t's star; return their
+        new ids."""
         nonlocal next_id
-        old_neighbors = {}
+        st = stars.pop(t)
+        del status[t]
+        ids = {i: next_id + n for n, i in enumerate(inside)}
+        next_id += len(inside)
+        if sum(a in ids and b in ids for (a, b) in local.edges) + len(st) != len(local.edges):
+            raise VerificationFailed("local tree surgery lost an edge")
+        for i in inside:
+            stars[ids[i]] = local.stars[i]
+        for (a, b), x in local.alpha.items():
+            if a in ids and b in ids:
+                alpha[(ids[a], ids[b])] = x
         for j in sorted(j for (a, j) in alpha if a == t):
             s = alpha.pop((j, t))          # points toward t
             del alpha[(t, j)]
-            old_neighbors[s] = j
-        del stars[t]
-        del status[t]
-        ids = list(range(next_id, next_id + len(frag_stars)))
-        next_id += len(frag_stars)
-        stars.update(zip(ids, frag_stars))
-        for (a, b), x in frag_alpha.items():
-            alpha[(ids[a], ids[b])] = x
-        for s, local in boundary.items():
-            j = old_neighbors[s]
-            alpha[(j, ids[local])] = s
-            alpha[(ids[local], j)] = s.inv
-        return ids
+            host = ids[next(i for i in inside if s in local.stars[i])]
+            alpha[(j, host)] = s
+            alpha[(host, j)] = s.inv
+        return list(ids.values())
 
     rounds = 0
     while "pending" in status.values():
@@ -589,17 +586,9 @@ def _refine(S, F, N_tilde, ts, step, keep=()):
             if t in from_essential and st in F:
                 status[t] = "inessential"
                 continue
-            tree = refine_inessential(st, F, S, ts)
-            n_internal = len(tree.stars) - len(st)
-            boundary = {}
-            for s in st:
-                leaf = next(i for i, x in enumerate(tree.stars)
-                            if x == frozenset({s.inv}) and i >= n_internal)
-                (host,) = [j for (i, j) in tree.alpha if i == leaf]
-                boundary[s] = host
-            frag_alpha = {(i, j): x for (i, j), x in tree.alpha.items()
-                          if i < n_internal and j < n_internal}
-            for i in splice(t, tree.stars[:n_internal], frag_alpha, boundary):
+            local = refine_inessential(st, F, S, ts)
+            # refine_inessential puts the leaves {s*} last
+            for i in splice(t, local, range(len(local.stars) - len(st))):
                 status[i] = "inessential"
             continue
         tau = owners[0]
@@ -608,28 +597,10 @@ def _refine(S, F, N_tilde, ts, step, keep=()):
             status[t] = "essential"
             home[t] = tau
             continue
-        M = sorted({canonical(x) for x in set(st) | set(added)},
-                   key=lambda x: x.sort_key)
-        lstars = sorted(_nodes_structural(NestedSet(S, M)),
-                        key=lambda x: sorted(s.sort_key for s in x))
-        inside = [x for x in lstars if not any(s.inv in x for s in st)]
-        idx = {x: i for i, x in enumerate(inside)}
-        frag_alpha = {}
-        for m in M:
-            for mo in (m, m.inv):
-                homes = [x for x in inside if mo in x]
-                anti = [x for x in inside if mo.inv in x]
-                if homes and anti:
-                    i, j = idx[anti[0]], idx[homes[0]]
-                    frag_alpha[(i, j)] = mo
-                    frag_alpha[(j, i)] = mo.inv
-        boundary = {s: idx[next(x for x in inside if s in x)] for s in st}
-        covered = ({canonical(m) for m in frag_alpha.values()}
-                   | {canonical(s) for s in st})
-        if covered != set(M):
-            raise VerificationFailed("local tree surgery lost an edge")
-        for i, x in zip(splice(t, inside, frag_alpha, boundary), inside):
-            if x == target:
+        local = to_stree(NestedSet(S, set(st) | set(added)))
+        inside = [i for i, x in enumerate(local.stars) if not any(s.inv in x for s in st)]
+        for i in splice(t, local, inside):
+            if stars[i] == target:
                 status[i] = "essential"
                 home[i] = tau
             else:

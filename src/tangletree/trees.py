@@ -65,10 +65,12 @@ def check_regular(N):
                 raise Irregular("member %r trivial within the set" % (s,))
 
 
-def _nodes_structural(N):
+def nodes(N):
+    """Splitting stars of a regular nested set, sorted."""
+    check_regular(N)
     oriented = sorted(N.oriented(), key=lambda s: s.sort_key)
     if not oriented:
-        return {frozenset()}
+        return [frozenset()]
     stars = set()
     for s in oriented:
         above = [t for t in oriented
@@ -76,13 +78,7 @@ def _nodes_structural(N):
         minimal = [t for t in above
                    if not any(u != t and u.leq(t) for u in above)]
         stars.add(frozenset([s] + [t.inv for t in minimal]))
-    return stars
-
-
-def nodes(N):
-    """Splitting stars of a regular nested set, sorted."""
-    check_regular(N)
-    return sorted(_nodes_structural(N), key=lambda st: sorted(s.sort_key for s in st))
+    return sorted(stars, key=lambda st: sorted(s.sort_key for s in st))
 
 
 class STree:
