@@ -90,7 +90,7 @@ def cmd_refine(args):
     from .refine import theorem_1_2
     G, S, F = _setup(args)
     ts, Nt, _ = _premise(args, S, F)
-    N, TD = theorem_1_2(G, args.k, F, Nt, tangles=ts)
+    N, TD = theorem_1_2(G, F, Nt, tangles=ts)
     tio.save_nested_set(N, _out(args, "refined.json"), seed=args.seed)
     tio.save_tree_decomposition(TD, _out(args, "td.json"), seed=args.seed)
     with open(_out(args, "td.dot"), "w") as f:

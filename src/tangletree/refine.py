@@ -621,7 +621,7 @@ def _refine(S, F, N_tilde, ts, step, keep=()):
     return N, tree, [home.get(i) for i in order]
 
 
-def theorem_1_2(G, k, F, N_tilde, tangles=None):
+def theorem_1_2(G, F, N_tilde, tangles=None):
     """Refine N_tilde so inessential nodes lie in F and essential nodes have
     minimal interior among the exclusive stars of their tangle.
 

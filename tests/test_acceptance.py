@@ -59,7 +59,7 @@ def test_criterion_1_four_clique_figure_reproduction():
                 if all(s in bt for s in O if not s.is_degenerate)]
         assert len(hits) == 1
     Nt = build_efficient_nested_set(ts, S)
-    N, TD = theorem_1_2(G, 3, F, Nt, tangles=ts)
+    N, TD = theorem_1_2(G, F, Nt, tangles=ts)
     essential, inessential = [], []
     for i, bag in enumerate(TD.bags):
         star = TD.node_star(i)
@@ -87,7 +87,7 @@ def test_criterion_2_essential_interiors_are_minimal():
             graphs_used.add(seed)
             Nt = (build_efficient_nested_set(ts, S)
                   if len(ts) > 1 else NestedSet(S, []))
-            N, TD = theorem_1_2(G, k, F, Nt, tangles=ts)
+            N, TD = theorem_1_2(G, F, Nt, tangles=ts)
             for i, bag in enumerate(TD.bags):
                 star = TD.node_star(i)
                 owners = [P for P in ts if all(s in P for s in star)]
@@ -132,7 +132,7 @@ def _audit(G, k):
     F = profile_stand_in_family(S)
     Nt = (build_efficient_nested_set(ts, S)
           if len(ts) > 1 else NestedSet(S, []))
-    N, TD = theorem_1_2(G, k, F, Nt, tangles=ts)
+    N, TD = theorem_1_2(G, F, Nt, tangles=ts)
     return verify_theorem_4_8(G, k, TD, ts)
 
 

@@ -86,7 +86,7 @@ def _audit(G, k):
     F = profile_stand_in_family(S)
     Nt = (build_efficient_nested_set(ts, S)
           if len(ts) > 1 else NestedSet(S, []))
-    N, TD = theorem_1_2(G, k, F, Nt, tangles=ts)
+    N, TD = theorem_1_2(G, F, Nt, tangles=ts)
     return verify_theorem_4_8(G, k, TD, ts)
 
 

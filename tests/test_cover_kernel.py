@@ -58,7 +58,7 @@ def _homes(G, k):
     if not ts:
         return []
     Nt = build_efficient_nested_set(ts, S) if len(ts) > 1 else NestedSet(S, [])
-    _, TD = theorem_1_2(G, k, profile_stand_in_family(S), Nt, tangles=ts)
+    _, TD = theorem_1_2(G, profile_stand_in_family(S), Nt, tangles=ts)
     return [(bag, P) for t, bag in enumerate(TD.bags)
             for P in ts if all(s in P for s in TD.node_star(t))]
 

@@ -37,7 +37,7 @@ def test_theorem_1_2_pins(seed, k):
     S = enumerate_separations(G, k)
     F = CoverFamily(G, k)
     ts, Nt = _premise(S, f_tangles(S, F))
-    N, TD = theorem_1_2(G, k, F, Nt, tangles=ts)
+    N, TD = theorem_1_2(G, F, Nt, tangles=ts)
     got = {"N": sorted(map(repr, N)), "bags": [sorted(b) for b in TD.bags],
            "edges": [list(e) for e in TD.edges]}
     assert got == PINS["theorem_1_2 %d/%d" % (seed, k)]

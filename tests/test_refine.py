@@ -108,7 +108,7 @@ def test_pipeline_on_twin_cliques():
     G, S, ts = _twin_setup()
     F = CoverFamily(G, 3)
     Nt = build_efficient_nested_set(ts, S)
-    N, TD = theorem_1_2(G, 3, F, Nt, tangles=ts)
+    N, TD = theorem_1_2(G, F, Nt, tangles=ts)
     assert Nt.members <= N.members
     bags = sorted(sorted(b) for b in TD.bags)
     assert [0, 1, 2, 3] in bags and [4, 5, 6, 7] in bags
@@ -119,7 +119,7 @@ def test_pipeline_on_twin_cliques():
 def test_pipeline_trivial_k():
     G = complete_graph(3)
     S = enumerate_separations(G, 1)
-    N, TD = theorem_1_2(G, 1, CoverFamily(G, 1), NestedSet(S, []))
+    N, TD = theorem_1_2(G, CoverFamily(G, 1), NestedSet(S, []))
     assert len(TD.bags) == 1
 
 
@@ -134,7 +134,7 @@ def test_pipeline_essential_bags_minimal_on_random_graphs(seed, k):
         return
     Nt = (build_efficient_nested_set(ts, S)
           if len(ts) > 1 else NestedSet(S, []))
-    N, TD = theorem_1_2(G, k, F, Nt, tangles=ts)
+    N, TD = theorem_1_2(G, F, Nt, tangles=ts)
     for i, bag in enumerate(TD.bags):
         star = TD.node_star(i)
         owners = [P for P in ts if all(s in P for s in star)]
