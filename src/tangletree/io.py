@@ -82,12 +82,16 @@ def save_graph(G, path, seed=None):
 
 
 def load_graph(path):
-    """Structured {n, edges} JSON, or an edge-list with one "u v" per line."""
+    """Structured {n, edges} JSON, or an edge-list with one "u v" per line.
+
+    An edge-list may state its vertex count in one "n N" line; otherwise n
+    is the largest vertex + 1.
+    """
     with open(path) as f:
         text = f.read()
     if text.lstrip().startswith("{"):
         return _json_graph(_load(path, "graph"), "edges")
-    edges = []
+    n, edges = None, []
     for line in text.splitlines():
         line = line.split("#")[0].strip()
         if not line:
@@ -95,14 +99,22 @@ def load_graph(path):
         parts = line.split()
         if len(parts) != 2:
             raise ParseError("edge line needs two vertices: %r" % (line,))
+        if parts[0] == "n":
+            if n is not None or not parts[1].isdecimal():
+                raise ParseError("the vertex count needs one 'n N' line, N >= 0: %r"
+                                 % (line,))
+            n = int(parts[1])
+            continue
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError("vertices must be integers: %r" % (line,))
         edges.append((u, v))
-    if not edges:
-        raise ParseError("empty edge list")
-    return _graph(max(v for e in edges for v in e) + 1, edges)
+    if n is None:
+        if not edges:
+            raise ParseError("empty edge list")
+        n = max(v for e in edges for v in e) + 1
+    return _graph(n, edges)
 
 
 def _json_graph(obj, edges_key):

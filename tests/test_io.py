@@ -5,6 +5,7 @@ import json
 import pytest
 
 from oracles import elements_over
+from tangletree import cli
 from tangletree.distinguish import build_efficient_nested_set
 from tangletree.errors import ParseError
 from tangletree.examples import bridged_cliques
@@ -56,6 +57,24 @@ def test_graph_edge_list_parsing(tmp_path):
     p.write_text("# nothing\n")
     with pytest.raises(ParseError):
         load_graph(p)
+
+
+def test_graph_edge_list_states_its_vertex_count(tmp_path):
+    p = tmp_path / "g.txt"
+    p.write_text("n 6  # two isolated vertices at the end\n0 1\n1 2\n2 3\n")
+    G = load_graph(p)
+    assert G.n == 6 and sorted(G.edge_tuples()) == [(0, 1), (1, 2), (2, 3)]
+    p.write_text("0 1\nn 3\n")
+    assert load_graph(p).n == 3
+    p.write_text("n 4\n")
+    assert load_graph(p).n == 4 and not load_graph(p).edges
+    for bad in ("n 3\n0 1\n2 3\n", "n 3\nn 3\n0 1\n", "n -1\n", "n x\n0 1\n"):
+        p.write_text(bad)
+        with pytest.raises(ParseError):
+            load_graph(p)
+    p.write_text("n 3\n0 3\n")
+    assert cli.run(["tangles", "--graph", str(p), "--k", "2",
+                    "--out", str(tmp_path / "run")]) == 2
 
 
 def test_format_tag_is_checked(tmp_path, twin):
