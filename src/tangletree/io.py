@@ -333,7 +333,10 @@ def save_abstract_system(S, path, seed=None):
 
 def load_abstract_system(path, U):
     obj = _load(path, "abstract-system")
-    return U.system(_elements(U, _list(obj, "members")))
+    try:
+        return U.system(_elements(U, _list(obj, "members")))
+    except ValueError as e:
+        raise ParseError(str(e))
 
 
 def _elements(U, names):

@@ -165,10 +165,11 @@ def test_abstract_malformed_universe_is_input_error(tmp_path, edit):
 @pytest.mark.parametrize("option,obj", [
     ("--system", {"format": "abstract-system"}),
     ("--system", {"format": "abstract-system", "members": ["nope"]}),
+    ("--system", {"format": "abstract-system", "members": ["e00"]}),
     ("--family", {"format": "abstract-star-family"}),
     ("--family", {"format": "abstract-star-family", "stars": [["nope"]]}),
-], ids=["system-members-missing", "system-unknown-name", "family-stars-missing",
-        "family-unknown-name"])
+], ids=["system-members-missing", "system-unknown-name", "system-without-inverse",
+        "family-stars-missing", "family-unknown-name"])
 def test_abstract_malformed_system_or_family_is_input_error(tmp_path, option, obj):
     u = _universe_file(tmp_path, lambda obj: None)
     p = tmp_path / "given.json"

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from tangletree import cli
 from tangletree.graphs import path_graph
-from tangletree.io import save_graph, save_tree_decomposition, save_universe
+from tangletree.io import (save_abstract_system, save_graph, save_tree_decomposition,
+                           save_universe)
 from tangletree.trees import TreeDecomposition
 from tangletree.universe import random_distributive_universe
 
@@ -51,15 +52,18 @@ def _mutate(draw, obj):
 
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
-    """A valid graph, tree-decomposition and universe file, parsed."""
+    """A valid graph, tree-decomposition, universe and universe-system file,
+    parsed."""
     d = tmp_path_factory.mktemp("valid")
     G = path_graph(4)
     save_graph(G, d / "g.json")
     bags = [frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})]
     save_tree_decomposition(TreeDecomposition(G, bags, [(0, 1), (1, 2)]), d / "td.json")
-    save_universe(random_distributive_universe(2), d / "u.json")
+    U = random_distributive_universe(2)
+    save_universe(U, d / "u.json")
+    save_abstract_system(U.system(), d / "sys.json")
     return {name: json.loads((d / (name + ".json")).read_text())
-            for name in ("g", "td", "u")}
+            for name in ("g", "td", "u", "sys")}
 
 
 # the command, the file it mutates, and its arguments given the file paths
@@ -71,6 +75,12 @@ _COMMANDS = {
                                    "--td", p["td"]]),
     "export-dot": ("td", lambda p: ["export-dot", "--td", p["td"]]),
     "abstract": ("u", lambda p: ["abstract", "--universe", p["u"]]),
+    "abstract-system": ("sys", lambda p: ["abstract", "--universe", p["u"],
+                                          "--system", p["sys"]]),
+    "refine-Tk": ("g", lambda p: ["refine", "--graph", p["g"], "--k", "2",
+                                  "--family", "Tk"]),
+    "refine-profiles": ("g", lambda p: ["refine", "--graph", p["g"], "--k", "2",
+                                        "--family", "profiles"]),
 }
 
 
