@@ -138,7 +138,7 @@ def cmd_blocks(args):
 
 
 def cmd_abstract(args):
-    from .distinguish import build_efficient_nested_set
+    from .distinguish import DistinguisherTable, build_efficient_nested_set
     from .trees import NestedSet
     from .universe import require_lattice, t_tilde_star, theorem_1_3
     U = tio.load_universe(args.universe)
@@ -154,7 +154,7 @@ def cmd_abstract(args):
         F = tio.load_abstract_star_family(args.family[len("file:"):], U)
     else:
         F = t_tilde_star(S)
-    ts = f_tangles(S, F)
+    ts = DistinguisherTable(f_tangles(S, F))
     if len(ts) == 0:
         raise NoTangles("the universe has no tangles for this family")
     Nt = build_efficient_nested_set(ts, S) if len(ts) > 1 else NestedSet(S, [])
