@@ -1,5 +1,5 @@
-"""Graph-case refinement: shifting, inessential-star refinement, minimal
-interior exclusive stars, and the end-to-end pipeline."""
+"""Refinement: shifting, inessential-star refinement, minimal interior
+exclusive stars, and the one refinement driver of Theorems 1.2 and 1.3."""
 
 from itertools import combinations
 

@@ -1,6 +1,6 @@
 """Finite universes of separations and the abstract refinement pipeline:
 table-driven and graph-backed lattices, narrow and near-maximal stars,
-unscrambling, and essential-node refinement by maximal stars."""
+unscrambling, and Theorem 1.3 with its essential step by maximal stars."""
 
 import random
 import warnings
@@ -10,7 +10,7 @@ from .errors import (HypothesisFailure, NonDistributive, NotInSystem,
                      ParseError, StepBudgetExceeded, TooLarge,
                      VerificationFailed)
 from .refine import _premise, _refine, enumerate_stars, proper_members
-from .seps import SeparationSystem, canonical, enumerate_separations, nested
+from .seps import SeparationSystem, enumerate_separations, nested
 from .tangles import (StarFamily, check_star, check_star_family,
                       closely_related, f_tangles, is_good, is_star,
                       regular_profiles, star_leq)
@@ -653,15 +653,15 @@ def _maximal_step(S, F, ts):
         spp = maximal_star_above(sp, P)
         # near-maximality puts every node between the two stars into F directly;
         # nodes home to a tangle and the sigma leaves bounding the tree are exempt
-        proper_sp = frozenset(s for s in sp if not s.is_small and not s.is_degenerate)
+        cap = frozenset(s for s in sp if not s.is_small and not s.is_degenerate) | spp
         leaf_allowed = {frozenset({s.inv}) for s in sigma}
-        for node in nodes(NestedSet(S, {canonical(x) for x in proper_sp | spp})):
+        for node in nodes(NestedSet(S, cap)):
             if node in leaf_allowed or any(all(x in Q for x in node) for Q in ts):
                 continue
             if node not in F:
                 raise VerificationFailed(
                     "cap node %r escaped F despite near-maximality" % (sorted(node),))
-        return spp, proper_sp | spp
+        return spp, cap
 
     return step
 
