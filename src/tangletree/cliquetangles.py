@@ -23,7 +23,7 @@ from itertools import combinations
 
 from .errors import NotACover, TooLarge, VerificationFailed
 from .graphs import vertex_mask
-from .seps import canonical, from_masks
+from .seps import SeparationSystem, canonical, from_masks
 from .tangles import _backtrack_orientations, same_separation
 
 # search nodes one cover_triple call may visit before it raises TooLarge
@@ -163,17 +163,23 @@ class CliqueCover:
         return ((x.b & ~y.a).bit_count() <= self.slack(y)
                 and (y.b & ~x.a).bit_count() <= self.slack(x))
 
+    def base_system(self):
+        """The base patterns and their inverses as a separation system."""
+        bases = self.base_separations()
+        return SeparationSystem(self.G, bases + [s.inv for s in bases])
+
     def tangles(self):
         """All T_k-tangles, as orientations of the base patterns."""
-        bases = self.base_separations()
+        S = self.base_system()
         if 3 * (self.k - 1) >= self.G.n:
             raise TooLarge("three small sides could cover all %d vertices" % self.G.n)
+        members = S.table().members
 
-        def prune(chosen, y):
-            return any(self._padded_inconsistent(y, c) for c in chosen)
+        def prune(chosen, bits, y):
+            return any(self._padded_inconsistent(members[y], c) for c in chosen)
 
         return [BaseTangle(self, chosen)
-                for chosen in _backtrack_orientations(bases, prune)
+                for chosen in _backtrack_orientations(S, prune)
                 if not self.cover_triple(chosen)]
 
     def cover_triple(self, members):

@@ -7,9 +7,9 @@ from .errors import (EmulationFailure, HypothesisFailure, NotExclusiveAnywhere,
                      OutOfDomain, SearchExhausted, TooLarge, VerificationFailed)
 from .distinguish import DistinguisherTable
 from .graphs import mask_bits
-from .seps import canonical, from_masks, nested
+from .seps import bits_of, from_masks, nested
 from .tangles import (CoverFamily, check_star, closely_related, distinguishes,
-                      f_tangles, interior, is_star, star_leq)
+                      f_tangles, interior, star_leq)
 from .trees import STree, NestedSet, TreeDecomposition, to_stree
 
 
@@ -257,61 +257,69 @@ def _carve_cover(sigma, F, S):
 
 
 def _split_search(sigma, F, S):
-    """Backtracking split search for explicit star families."""
-    all_oriented = sorted(S, key=lambda x: x.sort_key)
+    """Backtracking split search for explicit star families.
+
+    A node, a star, splits along u into the members below u plus u*, and
+    the rest plus u.  Nodes, the elements of F and the separations used so
+    far are bitsets over S's `IndexTable`; u can split a node when each
+    member t of it has t <= u or t <= u*, so the candidates are one AND per
+    member of the node, tried in sort_key order before the score sorts
+    them.  Both parts are stars when u* <= t* for t below u and u <= t*
+    for the rest.
+    """
+    T = S.table()
+    members, inv, down, upinv = T.members, T.inv, T.down, T.upinv
+    allowed = [T.up[t] | upinv[t] for t in range(len(members))]
+    in_F = set()
+    for el in F:
+        ids = [T.find(s) for s in el]
+        if None not in ids:
+            in_F.add(sum(1 << i for i in ids))
     memo_fail = set()
     budget = [MAX_EXPANSIONS]
 
-    def build(node, used):
-        if node in F:
-            return _Fragment(node)
-        if node in memo_fail:
+    def pair(i):
+        return 1 << i | 1 << inv[i]
+
+    def build(nb, used):
+        if nb in in_F:
+            return _Fragment(frozenset(members[i] for i in bits_of(nb)))
+        if nb in memo_fail:
             return None
         if budget[0] <= 0:
             raise TooLarge("refinement search budget exhausted")
         budget[0] -= 1
+        ok = (1 << len(members)) - 1 & ~used
+        for t in bits_of(nb):
+            ok &= allowed[t]
         cands = []
-        for u in all_oriented:
-            cu = canonical(u)
-            if cu in used or u.is_degenerate:
+        for u in bits_of(ok):
+            v = inv[u]
+            below = nb & down[u]
+            b1, b2 = below | 1 << v, nb ^ below | 1 << u
+            if (v == u or b1 == nb or b2 == nb
+                    or below & ~upinv[v] or (nb ^ below) & ~upinv[u]):
                 continue
-            D, rest, ok = [], [], True
-            for t in node:
-                if t.leq(u):
-                    D.append(t)
-                elif t.leq(u.inv):
-                    rest.append(t)
-                else:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            n1 = frozenset(D) | {u.inv}
-            n2 = frozenset(rest) | {u}
-            if n1 == node or n2 == node:
-                continue
-            if not is_star(n1) or not is_star(n2):
-                continue
-            cands.append((u, n1, n2))
-
-        def score(c):
-            u, n1, n2 = c
-            return (-int(n1 in F) - int(n2 in F), u.order, u.sort_key)
-
-        cands.sort(key=score)
-        for u, n1, n2 in cands:
-            used2 = used | {canonical(u)}
-            t1 = build(n1, used2)
+            cands.append((-(b1 in in_F) - (b2 in in_F), members[u].order, u, b1, b2))
+        cands.sort(key=lambda c: c[:2])
+        for _, _, u, b1, b2 in cands:
+            used2 = used | pair(u)
+            t1 = build(b1, used2)
             if t1 is None:
                 continue
-            t2 = build(n2, used2 | {canonical(x) for x in t1.alpha.values()})
+            for x in t1.alpha.values():
+                used2 |= pair(T.index[x])
+            t2 = build(b2, used2)
             if t2 is None:
                 continue
-            return _Fragment.glue(t1, t2, u)
-        memo_fail.add(node)
+            return _Fragment.glue(t1, t2, members[u])
+        memo_fail.add(nb)
         return None
 
-    frag = build(sigma, frozenset(canonical(s) for s in sigma))
+    used = 0
+    for s in sigma:
+        used |= pair(T.index[s])
+    frag = build(T.bits(sigma), used)
     if frag is None:
         raise SearchExhausted("no refinement found for %r" % (sorted(sigma),))
     return frag.stars, frag.edges, frag.alpha

@@ -1,9 +1,15 @@
-"""Graph separations: construction, lattice ops, classification, enumeration.
+"""Graph separations: construction, lattice ops, classification, enumeration,
+and the index table of a separation system.
 
 An oriented separation (A,B) of G satisfies A u B = V and has no edge between
 A\\B and B\\A.  Its order is |A n B|.  The same protocol (inv/leq/join/meet/
-is_small/sort_key) is implemented by universe elements, so the tangle and
-tree machinery is generic over both.
+is_small/sort_key) is implemented by universe elements.
+
+A `SeparationSystem` numbers its members in `sort_key` order, once, in an
+`IndexTable`: the inverse as an int list and each member's up-set and
+down-set as int bitsets.  The tangle search, its certificates, the profile
+family and `classify` read these bitsets, so they are generic over both
+element backends; only building the up- and down-sets is backend-specific.
 """
 
 from itertools import combinations
@@ -95,6 +101,39 @@ class OrientedSeparation:
         return "({%s},{%s})" % (",".join(map(str, self.sort_key[2])),
                                 ",".join(map(str, self.sort_key[3])))
 
+    @staticmethod
+    def _order_sets(members, inv):
+        """up, down, inv(up) and inv(down) of the separations `members` of one
+        graph, as bitsets over their positions.
+
+        up[i] is the AND, over v in A_i, of the members whose A contains v
+        and, over v outside B_i, of those whose B lacks v; down[i] is the
+        mirror image.  Inverting a separation reverses its order, so
+        inv(up[i]) = down[inv i] and inv(down[i]) = up[inv i].
+        """
+        G = members[0].graph
+        full = (1 << len(members)) - 1
+        col_a, col_b = [0] * G.n, [0] * G.n
+        for j, s in enumerate(members):
+            for v in mask_bits(s.a):
+                col_a[v] |= 1 << j
+            for v in mask_bits(s.b):
+                col_b[v] |= 1 << j
+        up, down = [], []
+        for s in members:
+            u = d = full
+            for v in mask_bits(s.a):
+                u &= col_a[v]
+            for v in mask_bits(G.full ^ s.a):
+                d &= ~col_a[v]
+            for v in mask_bits(s.b):
+                d &= col_b[v]
+            for v in mask_bits(G.full ^ s.b):
+                u &= ~col_b[v]
+            up.append(u)
+            down.append(d)
+        return up, down, [down[t] for t in inv], [up[t] for t in inv]
+
 
 def from_masks(graph, a, b):
     """The registered member (a, b) of graph, else a fresh separation."""
@@ -155,10 +194,80 @@ def nested(a, b):
     return compare(a, b) != "crossing"
 
 
-class SeparationSystem:
-    """A finite involution-closed set of oriented separations (or elements)."""
+def bits_of(x):
+    """Positions of the set bits of x, ascending."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
 
-    __slots__ = ("ground", "oriented", "k", "_bound", "_hash")
+
+class IndexTable:
+    """The members of a system numbered in `sort_key` order, with the order
+    relation as int bitsets over those numbers.
+
+    members[i] is member i and index its inverse map; inv[i] is the number
+    of members[i].inv.  Bit j of up[i] is set when member i <= member j, of
+    down[i] when member j <= member i, of upinv[i] when i <= inv j.
+    incons[y] holds the x with x* <= y or y* <= x, other than y and y*: the
+    members that no consistent orientation holds together with y.  reps
+    lists the canonical representatives, one per unoriented member.
+    """
+
+    __slots__ = ("members", "index", "inv", "up", "down", "upinv", "incons",
+                 "reps", "_bound")
+
+    def __init__(self, oriented, bound):
+        self.members = members = sorted(oriented, key=lambda s: s.sort_key)
+        self.index = index = {s: i for i, s in enumerate(members)}
+        self.inv = inv = [index[s.inv] for s in members]
+        self._bound = bound
+        if members:
+            up, down, upinv, downinv = members[0]._order_sets(members, inv)
+        else:
+            up = down = upinv = downinv = []
+        self.up, self.down, self.upinv = up, down, upinv
+        self.incons = [(downinv[y] | up[t]) & ~(1 << y | 1 << t)
+                       for y, t in enumerate(inv)]
+        self.reps = [i for i, t in enumerate(inv) if i <= t]
+
+    def find(self, s):
+        """The number of s, or None when s is not a member."""
+        if self._bound is not None and s.order >= self._bound:
+            return None
+        return self.index.get(s)
+
+    def bits(self, seps):
+        """The bitset of the members seps; KeyError for a non-member."""
+        index = self.index
+        out = 0
+        for s in seps:
+            out |= 1 << index[s]
+        return out
+
+    def is_star(self, ids):
+        """Whether the members with the bitset ids form a star: none is
+        degenerate and x <= y* for any two of them."""
+        for x in bits_of(ids):
+            if self.inv[x] == x or ids & ~self.upinv[x] & ~(1 << x):
+                return False
+        return True
+
+    def trivial_witness(self, i):
+        """The first r other than i and i* with i <= r and i <= r*, or None."""
+        w = self.up[i] & self.upinv[i] & ~(1 << i | 1 << self.inv[i])
+        return (w & -w).bit_length() - 1 if w else None
+
+
+class SeparationSystem:
+    """A finite involution-closed set of oriented separations (or elements).
+
+    Its `IndexTable` is built on first use and kept on the system.
+    """
+
+    __slots__ = ("ground", "oriented", "k", "_bound", "_hash", "_table")
 
     def __init__(self, ground, oriented, k=None):
         oriented = frozenset(oriented)
@@ -172,6 +281,13 @@ class SeparationSystem:
         # more is outside the system before it is hashed
         self._bound = k if k is not None and all(s.order < k for s in oriented) else None
         self._hash = hash((ground, oriented, k))
+        self._table = None
+
+    def table(self):
+        """The system's `IndexTable`, built on the first call."""
+        if self._table is None:
+            self._table = IndexTable(self.oriented, self._bound)
+        return self._table
 
     def __contains__(self, s):
         if self._bound is not None and s.order >= self._bound:
@@ -179,15 +295,15 @@ class SeparationSystem:
         return s in self.oriented
 
     def __iter__(self):
-        return iter(sorted(self.oriented, key=lambda s: s.sort_key))
+        return iter(self.table().members)
 
     def __len__(self):
         return len(self.oriented)
 
     def unoriented(self):
         """Canonical representatives, one per unoriented member, sorted."""
-        reps = {canonical(s) for s in self.oriented}
-        return sorted(reps, key=lambda s: s.sort_key)
+        T = self.table()
+        return [T.members[i] for i in T.reps]
 
     def __eq__(self, other):
         return (isinstance(other, SeparationSystem)
@@ -197,28 +313,25 @@ class SeparationSystem:
         return self._hash
 
     def __repr__(self):
-        return "SeparationSystem(|S|=%d unoriented)" % len(self.unoriented())
+        return "SeparationSystem(|S|=%d unoriented)" % len(self.table().reps)
 
 
 def classify(s, S):
     """Flags for s in S: small/cosmall/degenerate/trivial-in-S/proper.
 
-    trivial needs a witness r in S with s < r and s < r.inv; the witness is
-    returned under 'witness' (None when not trivial).
+    trivial needs a witness r in S with s < r and s < r.inv; the first in
+    S's order is returned under 'witness' (None when not trivial).
     """
     if s not in S:
         raise NotInSystem("%r not in system" % (s,))
-    witness = None
-    for r in S:
-        if r != s and r.inv != s and s.leq(r) and s.leq(r.inv):
-            witness = r
-            break
+    T = S.table()
+    w = T.trivial_witness(T.index[s])
     return {
         "small": s.is_small,
         "cosmall": s.is_cosmall,
         "degenerate": s.is_degenerate,
-        "trivial": witness is not None,
-        "witness": witness,
+        "trivial": w is not None,
+        "witness": None if w is None else T.members[w],
         "proper": not s.is_small and not s.is_cosmall,
     }
 

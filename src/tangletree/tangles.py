@@ -1,11 +1,18 @@
-"""Orientations, consistency, profiles, F-tangles, stars, closely-related."""
+"""Orientations, consistency, profiles, F-tangles, stars, closely-related.
+
+The search, the consistency and profile certificates and the profile family
+read the system's `IndexTable` (see `seps`): members are numbered in
+`sort_key` order, an orientation is also a bitset over those numbers, and a
+consistency test is one AND with a precomputed bitset instead of a loop of
+`leq` calls over pairs of members.
+"""
 
 from itertools import combinations
 
 from .errors import (HypothesisFailure, Indistinct, NotAStar, NotInProfile,
                      VerificationFailed)
 from .graphs import mask_vertices, vertex_mask
-from .seps import canonical
+from .seps import bits_of, canonical
 
 
 def same_separation(x, y):
@@ -44,28 +51,37 @@ def star_leq(sigma, tau):
 
 
 class Orientation:
-    """One orientation per unoriented member of a system."""
+    """One orientation per unoriented member of a system; `bits` is its
+    bitset over the system's `IndexTable`."""
 
-    __slots__ = ("system", "chosen", "_hash")
+    __slots__ = ("system", "chosen", "bits", "_hash")
 
     def __init__(self, system, chosen):
         chosen = frozenset(chosen)
-        reps = {canonical(s) for s in system.oriented}
-        got = {canonical(s) for s in chosen}
-        if got != reps:
-            raise ValueError("orientation does not cover the system exactly")
+        T = system.table()
+        bits = 0
+        for s in chosen:
+            i = T.index.get(s)
+            if i is None:
+                raise ValueError("orientation does not cover the system exactly")
+            bits |= 1 << i
+        for i in T.reps:
+            if not (bits >> i & 1 or bits >> T.inv[i] & 1):
+                raise ValueError("orientation does not cover the system exactly")
         for s in chosen:
             if s.inv in chosen and not s.is_degenerate:
                 raise ValueError("both orientations of %r chosen" % (s,))
         self.system = system
         self.chosen = chosen
+        self.bits = bits
         self._hash = hash((system, chosen))
 
     def __contains__(self, s):
         return s in self.chosen
 
     def __iter__(self):
-        return iter(sorted(self.chosen, key=lambda s: s.sort_key))
+        members = self.system.table().members
+        return iter([members[i] for i in bits_of(self.bits)])
 
     def __len__(self):
         return len(self.chosen)
@@ -81,27 +97,22 @@ class Orientation:
         return "Orientation(%d members)" % len(self.chosen)
 
 
-def _pair_inconsistent(x, y):
-    # violation r<s with r.inv and s both present: x=r.inv,y=s or y=r.inv,x=s
-    if same_separation(x, y):
-        return False
-    if x.inv.leq(y):
-        return True
-    if y.inv.leq(x):
-        return True
-    return False
-
-
 def is_consistent(O):
-    """(True, None) or (False, (r_inv, s)) with r < s and both in O."""
-    members = sorted(O, key=lambda s: s.sort_key)
-    for x, y in combinations(members, 2):
-        if same_separation(x, y):
-            continue
-        if x.inv.leq(y):
-            return False, (x, y)
-        if y.inv.leq(x):
-            return False, (y, x)
+    """(True, None) or (False, (r_inv, s)) with r < s and both in O.
+
+    The witness is the first pair x, y of O in sort_key order with
+    x* <= y or y* <= x: the first member x whose set `incons[x]` meets O,
+    all of whose hits come after it, and the first such y.
+    """
+    T = O.system.table()
+    bits = O.bits
+    for x in bits_of(bits):
+        hit = T.incons[x] & bits
+        if hit:
+            y = (hit & -hit).bit_length() - 1
+            if T.up[T.inv[x]] >> y & 1:
+                return False, (T.members[x], T.members[y])
+            return False, (T.members[y], T.members[x])
     return True, None
 
 
@@ -237,16 +248,19 @@ class CoverFamily:
 
 
 def p_s_family(S):
-    """The stars among P_S: all {r, s, (r v s)*} with r v s in S."""
+    """The stars among P_S: all {r, s, (r v s)*} with r v s in S.
+
+    A star {r, s, ...} with r != s needs r <= s*, so for each r only s = r
+    and the s in inv(up[r]) from r on are tried, in sort_key order.
+    """
+    T = S.table()
     out = set()
-    lst = sorted(S, key=lambda s: s.sort_key)
-    for i, r in enumerate(lst):
-        for s in lst[i:]:
-            j = r.join(s)
-            if j in S:
-                el = frozenset({r, s, j.inv})
-                if is_star(el):
-                    out.add(el)
+    for i, r in enumerate(T.members):
+        for j in bits_of((T.upinv[i] | 1 << i) >> i << i):
+            s = T.members[j]
+            t = T.find(r.join(s))
+            if t is not None and T.is_star(1 << i | 1 << j | 1 << T.inv[t]):
+                out.add(frozenset({r, s, T.members[T.inv[t]]}))
     return StarFamily(out, tag="P_S-derived")
 
 
@@ -257,9 +271,9 @@ def profile_stand_in_family(S):
     """
     fam = p_s_family(S)
     extra = set(fam.elements)
-    from .seps import classify
-    for r in S:
-        if r.is_small or classify(r, S)["trivial"]:
+    T = S.table()
+    for i, r in enumerate(T.members):
+        if r.is_small or T.trivial_witness(i) is not None:
             extra.add(frozenset({r.inv}))
     return StarFamily(extra, tag="profiles")
 
@@ -267,39 +281,47 @@ def profile_stand_in_family(S):
 # ---------------------------------------------------------------- enumeration
 
 
-def _backtrack_orientations(reps, prune):
+def _backtrack_orientations(S, prune):
     """All total choices surviving the incremental prune; the search engine
     of every tangle, profile and node enumeration.
 
-    prune(chosen, y) -> True to reject the branch extending chosen by y.
-    reps holds one orientation per unoriented member; degenerates are
-    auto-included, the rest decided in order, each before its inverse, on
-    an explicit stack rather than the interpreter's.
+    prune(chosen, bits, y) -> True to reject the branch extending chosen by
+    member number y of S's `IndexTable`; bits is the bitset of chosen.
+    One orientation of each canonical representative is decided, in order:
+    degenerates are auto-included, the rest decided each before its
+    inverse, on an explicit stack rather than the interpreter's.
     """
+    T = S.table()
+    members, inv = T.members, T.inv
     chosen = set()
-    for d in reps:
-        if d.is_degenerate:
-            if prune(chosen, d):
+    bits = 0
+    for d in T.reps:
+        if inv[d] == d:
+            if prune(chosen, bits, d):
                 return []
-            chosen.add(d)
-    rest = [s for s in reps if not s.is_degenerate]
+            chosen.add(members[d])
+            bits |= 1 << d
+    rest = [i for i in T.reps if inv[i] != i]
     if not rest:
         return [frozenset(chosen)]
     results = []
     path = []                    # the member decided at each depth so far
-    stack = [(0, rest[0].inv), (0, rest[0])]
+    stack = [(0, inv[rest[0]]), (0, rest[0])]
     while stack:
         i, y = stack.pop()
         while len(path) > i:
-            chosen.remove(path.pop())
-        if prune(chosen, y):
+            x = path.pop()
+            chosen.remove(members[x])
+            bits ^= 1 << x
+        if prune(chosen, bits, y):
             continue
         if i + 1 == len(rest):
-            results.append(frozenset(chosen | {y}))
+            results.append(frozenset(chosen | {members[y]}))
             continue
         path.append(y)
-        chosen.add(y)
-        stack.append((i + 1, rest[i + 1].inv))
+        chosen.add(members[y])
+        bits |= 1 << y
+        stack.append((i + 1, inv[rest[i + 1]]))
         stack.append((i + 1, rest[i + 1]))
     return results
 
@@ -310,17 +332,13 @@ def f_tangles(S, F):
     Each one is certified consistent and free of elements of F; a failed
     certificate raises VerificationFailed.
     """
+    T = S.table()
 
-    def prune(chosen, y):
-        for x in chosen:
-            if _pair_inconsistent(x, y):
-                return True
-        if F.violation(chosen, y) is not None:
-            return True
-        return False
+    def prune(chosen, bits, y):
+        return bool(bits & T.incons[y]) or F.violation(chosen, T.members[y]) is not None
 
     out = []
-    for chosen in _backtrack_orientations(S.unoriented(), prune):
+    for chosen in _backtrack_orientations(S, prune):
         O = Orientation(S, chosen)
         if not is_consistent(O)[0]:
             raise VerificationFailed("tangle search returned an inconsistent orientation")
@@ -332,19 +350,22 @@ def f_tangles(S, F):
 
 
 def is_profile(O):
-    """No (r v s)* inside O for r,s in O with r v s in the system."""
-    members = sorted(O, key=lambda s: s.sort_key)
-    S = O.system
-    for i, r in enumerate(members):
-        for s in members[i:]:
-            j = r.join(s)
-            if j in S and j.inv in O and not j.is_degenerate:
-                return False, (r, s)
+    """No (r v s)* inside O for r,s in O with r v s in the system; the
+    witness is the first such pair in sort_key order."""
+    T = O.system.table()
+    bits = O.bits
+    ids = bits_of(bits)
+    for n, i in enumerate(ids):
+        r = T.members[i]
+        for j in ids[n:]:
+            t = T.find(r.join(T.members[j]))
+            if t is not None and bits >> T.inv[t] & 1 and T.inv[t] != t:
+                return False, (r, T.members[j])
     return True, None
 
 
 def is_regular(O):
-    for s in sorted(O, key=lambda s: s.sort_key):
+    for s in O:
         if s.is_cosmall and not s.is_degenerate:
             return False, s
     return True, None
@@ -357,22 +378,26 @@ def regular_profiles(S):
     certified consistent and regular; a failed certificate raises
     VerificationFailed.
     """
+    T = S.table()
+    members, inv, up = T.members, T.inv, T.up
 
-    def prune(chosen, y):
-        if y.is_cosmall and not y.is_degenerate:
+    def prune(chosen, bits, y):
+        t = inv[y]
+        if t != y and up[t] >> y & 1:              # y is co-small
             return True
-        for x in chosen:
-            if _pair_inconsistent(x, y):
-                return True
+        if bits & T.incons[y]:
+            return True
         # profile pruning: adding y must not complete {r, s, (r v s)*}
+        with_y = bits | 1 << y
+        s = members[y]
         for x in chosen:
-            j = x.join(y)
-            if j in S and j.inv in chosen | {y} and not j.is_degenerate:
+            j = T.find(x.join(s))
+            if j is not None and with_y >> inv[j] & 1 and inv[j] != j:
                 return True
         return False
 
     out = []
-    for chosen in _backtrack_orientations(S.unoriented(), prune):
+    for chosen in _backtrack_orientations(S, prune):
         O = Orientation(S, chosen)
         # the prune misses a (r v s)* whose member is chosen after r and s
         if not is_profile(O)[0]:
@@ -463,7 +488,6 @@ def check_star_family(F, S):
     """Friendliness report for an explicit family over S: every element is
     a star (all_stars), {r.inv} is an element for every trivial r in S
     (standard) and for every small non-degenerate r in S."""
-    from .seps import classify
     elements = sorted(
         (el for el in F), key=lambda e: sorted(s.sort_key for s in e))
     report = {"standard": True, "all_stars": True, "contains_inverse_of_smalls": True,
@@ -474,9 +498,9 @@ def check_star_family(F, S):
             report["witnesses"].setdefault("not_a_star", el)
             break
     fam = set(frozenset(e) for e in elements)
-    for r in S:
-        flags = classify(r, S)
-        if flags["trivial"] and frozenset({r.inv}) not in fam:
+    T = S.table()
+    for i, r in enumerate(T.members):
+        if T.trivial_witness(i) is not None and frozenset({r.inv}) not in fam:
             report["standard"] = False
             report["witnesses"].setdefault("standard", r)
             break

@@ -10,7 +10,7 @@ from .errors import (HypothesisFailure, NonDistributive, NotInSystem,
                      ParseError, StepBudgetExceeded, TooLarge,
                      VerificationFailed)
 from .refine import _premise, _refine, enumerate_stars, proper_members
-from .seps import SeparationSystem, enumerate_separations, nested
+from .seps import SeparationSystem, bits_of, enumerate_separations, nested
 from .tangles import (StarFamily, check_star, check_star_family,
                       closely_related, f_tangles, is_good, is_star,
                       regular_profiles, star_leq)
@@ -92,6 +92,27 @@ class UniverseElement:
 
     def __repr__(self):
         return str(self.name)
+
+    @staticmethod
+    def _order_sets(members, inv):
+        """up, down, inv(up) and inv(down) of the elements `members` of one
+        universe, as bitsets over their positions, read off the universe's
+        up-sets `_up`."""
+        U = members[0].universe
+        pos = [None] * len(U.ids)
+        for j, x in enumerate(members):
+            pos[x.i] = j
+        n = len(members)
+        up, down, upinv, downinv = [0] * n, [0] * n, [0] * n, [0] * n
+        for i, x in enumerate(members):
+            for b in bits_of(U._up[x.i]):
+                j = pos[b]
+                if j is not None:
+                    up[i] |= 1 << j
+                    down[j] |= 1 << i
+                    upinv[i] |= 1 << inv[j]
+                    downinv[j] |= 1 << inv[i]
+        return up, down, upinv, downinv
 
 
 class Universe:
@@ -374,8 +395,8 @@ def t_prime(S):
 def t_tilde_star(S):
     """Stars of at most three members with a co-small join, plus the singleton
     inverses of small and trivial members; the abstract-tangle family."""
-    from .seps import classify
-    lst = sorted(S, key=lambda s: s.sort_key)
+    T = S.table()
+    lst = T.members
     out = set()
     for n in range(1, 4):
         for c in combinations(lst, n):
@@ -386,10 +407,10 @@ def t_tilde_star(S):
                 j = x if j is None else j.join(x)
             if j.inv.leq(j):
                 out.add(frozenset(c))
-    for r in lst:
+    for i, r in enumerate(lst):
         if r.is_degenerate:
             continue
-        if r.is_small or classify(r, S)["trivial"]:
+        if r.is_small or T.trivial_witness(i) is not None:
             out.add(frozenset({r.inv}))
     return StarFamily(out, tag="Ttildestars")
 

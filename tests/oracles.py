@@ -4,9 +4,8 @@ from itertools import combinations
 
 from tangletree.errors import CrossingEdge, TooLarge
 from tangletree.seps import OrientedSeparation, SeparationSystem, separation
-from tangletree.tangles import (Orientation, _backtrack_orientations,
-                                _pair_inconsistent, is_consistent, is_star,
-                                same_separation)
+from tangletree.tangles import (Orientation, StarFamily, _backtrack_orientations,
+                                is_regular, is_star, same_separation)
 
 
 def induced_edges(G, X):
@@ -65,6 +64,103 @@ def elements_over(F, S):
     return out
 
 
+# ------------------------------------------ element-wise order questions
+# The loops that `tangles` and `seps` ran on element calls before they read
+# the system's index table; the references for the bitset versions.
+
+
+def pair_inconsistent(x, y):
+    """Whether x and y, not one separation, have x* <= y or y* <= x."""
+    if same_separation(x, y):
+        return False
+    return x.inv.leq(y) or y.inv.leq(x)
+
+
+def is_consistent(O):
+    """(True, None) or (False, (r_inv, s)) with r < s and both in O."""
+    members = sorted(O, key=lambda s: s.sort_key)
+    for x, y in combinations(members, 2):
+        if same_separation(x, y):
+            continue
+        if x.inv.leq(y):
+            return False, (x, y)
+        if y.inv.leq(x):
+            return False, (y, x)
+    return True, None
+
+
+def classify_witness(s, S):
+    """The first r of S with s < r and s < r.inv, or None."""
+    for r in S:
+        if r != s and r.inv != s and s.leq(r) and s.leq(r.inv):
+            return r
+    return None
+
+
+def p_s_family(S):
+    """The stars among P_S, over all pairs of members."""
+    out = set()
+    lst = sorted(S, key=lambda s: s.sort_key)
+    for i, r in enumerate(lst):
+        for s in lst[i:]:
+            j = r.join(s)
+            if j in S:
+                el = frozenset({r, s, j.inv})
+                if is_star(el):
+                    out.add(el)
+    return StarFamily(out, tag="P_S-derived")
+
+
+def is_profile(O):
+    """No (r v s)* inside O for r,s in O with r v s in the system."""
+    members = sorted(O, key=lambda s: s.sort_key)
+    S = O.system
+    for i, r in enumerate(members):
+        for s in members[i:]:
+            j = r.join(s)
+            if j in S and j.inv in O and not j.is_degenerate:
+                return False, (r, s)
+    return True, None
+
+
+def f_tangles(S, F):
+    """The F-tangles of S from the element-wise prune, sorted."""
+    members = S.table().members
+
+    def prune(chosen, bits, i):
+        y = members[i]
+        return (any(pair_inconsistent(x, y) for x in chosen)
+                or F.violation(chosen, y) is not None)
+
+    out = [Orientation(S, c) for c in _backtrack_orientations(S, prune)]
+    out = [O for O in out if is_consistent(O)[0] and F.subset_in(O.chosen) is None]
+    out.sort(key=lambda O: tuple(s.sort_key for s in O))
+    return out
+
+
+def regular_profiles(S):
+    """The regular profiles of S from the element-wise prune, sorted."""
+    members = S.table().members
+
+    def prune(chosen, bits, i):
+        y = members[i]
+        if y.is_cosmall and not y.is_degenerate:
+            return True
+        if any(pair_inconsistent(x, y) for x in chosen):
+            return True
+        for x in chosen:
+            j = x.join(y)
+            if j in S and j.inv in chosen | {y} and not j.is_degenerate:
+                return True
+        return False
+
+    out = [Orientation(S, c) for c in _backtrack_orientations(S, prune)]
+    out = [O for O in out
+           if is_profile(O)[0] and is_consistent(O)[0] and is_regular(O)[0]]
+    out.sort(key=lambda O: tuple(s.sort_key for s in O))
+    return out
+
+
 def brute_force_f_tangles(S, F, limit=18):
     """The F-tangles of S by filtering all 2^|S| orientations; refuses beyond
     the limit.  The reference for `tangles.f_tangles`."""
@@ -91,13 +187,14 @@ def brute_force_f_tangles(S, F, limit=18):
 def nodes_by_orientation(N):
     """Splitting stars of a nested set as the maximal members of its consistent
     orientations, sorted; the reference for `trees.nodes`."""
-
-    def prune(chosen, y):
-        return any(_pair_inconsistent(x, y) for x in chosen)
-
     sub = SeparationSystem(N.system.ground, frozenset(N.oriented()))
+    members = sub.table().members
+
+    def prune(chosen, bits, y):
+        return any(pair_inconsistent(x, members[y]) for x in chosen)
+
     stars = set()
-    for chosen in _backtrack_orientations(sub.unoriented(), prune):
+    for chosen in _backtrack_orientations(sub, prune):
         stars.add(frozenset(
             s for s in chosen
             if not any(not same_separation(s, t) and s.leq(t) and s != t for t in chosen)))

@@ -345,3 +345,14 @@ def test_refine_search_budget_is_cap_exceeded(tmp_path, monkeypatch, capsys):
     assert cli.run(["refine", "--graph", str(graph), "--k", "3",
                     "--out", str(tmp_path / "run")]) == 3
     assert "search budget exhausted" in capsys.readouterr().err
+
+
+def test_profile_split_search_reaches_its_budget(tmp_path, capsys):
+    # no regular profile, and no refinement of the root star into the profile
+    # family within MAX_EXPANSIONS: the split search must spend its budget in
+    # seconds and exit 3, not run for minutes
+    graph = tmp_path / "g.json"
+    save_graph(random_graph(3), graph)
+    assert cli.run(["refine", "--graph", str(graph), "--k", "4", "--family", "profiles",
+                    "--out", str(tmp_path / "run")]) == 3
+    assert "refinement search budget exhausted" in capsys.readouterr().err

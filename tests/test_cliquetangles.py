@@ -159,10 +159,12 @@ def _assert_covering_triple(cov, members, witness):
 def test_cover_triple_matches_reference(build):
     cov = build()
 
-    def prune(chosen, y):
-        return any(cov._padded_inconsistent(y, c) for c in chosen)
+    S = cov.base_system()
 
-    for chosen in _backtrack_orientations(cov.base_separations(), prune):
+    def prune(chosen, bits, y):
+        return any(cov._padded_inconsistent(S.table().members[y], c) for c in chosen)
+
+    for chosen in _backtrack_orientations(S, prune):
         witness = cov.cover_triple(chosen)
         assert witness == reference_cover_triple(cov, chosen)
         if witness is not None:

@@ -1,0 +1,153 @@
+"""The index table of a separation system: its bitsets against the element
+protocol, one table per system, and the bitset versions of the search,
+certificates and profile family against the element-wise loops they
+replaced (tests/oracles.py)."""
+
+import gc
+import random
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from conftest import random_graph
+from tangletree import seps
+from tangletree.examples import bridged_cliques
+from tangletree.seps import canonical, classify, enumerate_separations
+from tangletree.tangles import (CoverFamily, Orientation, f_tangles, is_consistent,
+                                is_profile, p_s_family, profile_stand_in_family,
+                                regular_profiles)
+from tangletree.universe import random_distributive_universe, t_tilde_star
+
+
+def _graph_system(seed, k):
+    return enumerate_separations(random_graph(seed, lo=5, hi=8), k)
+
+
+SMALL = ([("graph-%d-k%d" % (seed, k), lambda seed=seed, k=k: _graph_system(seed, k))
+          for seed in range(3) for k in (2, 3, 4)]
+         # (V, V) has order 3 < 4: a degenerate member
+         + [("triangle-k4", lambda: enumerate_separations(random_graph(0, lo=3, hi=3), 4))]
+         + [("bridged4-k3", lambda: enumerate_separations(bridged_cliques(4), 3))]
+         + [("universe-%d" % seed, lambda seed=seed: random_distributive_universe(seed).system())
+            for seed in range(4)])
+
+
+@pytest.mark.parametrize("build", [b for _, b in SMALL], ids=[n for n, _ in SMALL])
+def test_table_matches_the_element_protocol(build):
+    S = build()
+    T = S.table()
+    members = T.members
+    assert members == sorted(S.oriented, key=lambda s: s.sort_key) == list(S)
+    assert S.unoriented() == sorted({canonical(s) for s in S.oriented},
+                                    key=lambda s: s.sort_key)
+    for i, r in enumerate(members):
+        assert T.index[r] == i
+        assert members[T.inv[i]] == r.inv
+        for j, s in enumerate(members):
+            assert (T.up[i] >> j & 1 == 1) == r.leq(s)
+            assert (T.down[i] >> j & 1 == 1) == s.leq(r)
+            assert (T.upinv[i] >> j & 1 == 1) == r.leq(s.inv)
+            assert (T.incons[i] >> j & 1 == 1) == oracles.pair_inconsistent(r, s)
+
+
+def test_table_is_built_once_per_system_and_not_when_enumerating(monkeypatch):
+    built = []
+
+    class Counting(seps.IndexTable):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(seps, "IndexTable", Counting)
+    G = bridged_cliques(4)
+    S = enumerate_separations(G, 3)
+    assert built == [] and S._table is None
+    list(S)
+    S.unoriented()
+    for s in S:
+        classify(s, S)
+    profile_stand_in_family(S)
+    regular_profiles(S)
+    f_tangles(S, CoverFamily(G, 3))
+    assert len(built) == 1 and S.table() is built[0]
+    A = random_distributive_universe(1).system()
+    f_tangles(A, t_tilde_star(A))
+    regular_profiles(A)
+    assert len(built) == 2 and A.table() is built[1]
+    # a second, equal system gets its own table
+    S2 = enumerate_separations(G, 3)
+    assert S2 == S and S2.table() is not S.table()
+
+
+def test_no_module_state_holds_a_table():
+    S = enumerate_separations(bridged_cliques(4), 3)
+    regular_profiles(S)
+    T = S.table()
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tangletree"):
+            for value in vars(module).values():
+                assert value is not T
+                if isinstance(value, (dict, list, set, tuple)):
+                    for v in value:
+                        assert v is not T
+    gc.collect()
+    referrers = [r for r in gc.get_referrers(T) if r is not sys._getframe()]
+    assert referrers == [S]
+
+
+# ------------------------------------------------------------------ parity
+
+
+def _random_orientations(S, rng, count):
+    reps = S.unoriented()
+    for _ in range(count):
+        yield Orientation(S, [s if rng.random() < 0.5 else s.inv for s in reps])
+
+
+def _assert_parity(S, tangles_of, seed):
+    T = S.table()
+    for s in S:
+        assert classify(s, S)["witness"] == oracles.classify_witness(s, S)
+    assert set(p_s_family(S).elements) == set(oracles.p_s_family(S).elements)
+    got, want = regular_profiles(S), oracles.regular_profiles(S)
+    assert got == want
+    found = tangles_of(f_tangles, oracles.f_tangles)
+    samples = list(_random_orientations(S, random.Random(seed), 6)) + got + found
+    for O in samples:
+        assert is_consistent(O) == oracles.is_consistent(O)
+        assert is_profile(O) == oracles.is_profile(O)
+    assert T is S.table()
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 4), st.integers(2, 8))
+def test_bitsets_match_the_element_loops_on_graphs(seed, k, n):
+    # n < k gives the degenerate member (V, V)
+    G = random_graph(seed, lo=n, hi=n)
+    S = enumerate_separations(G, k)
+
+    def tangles_of(search, reference):
+        got = search(S, CoverFamily(G, k))
+        assert got == reference(S, CoverFamily(G, k))
+        return got
+
+    _assert_parity(S, tangles_of, seed)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10_000))
+def test_bitsets_match_the_element_loops_on_universes(seed):
+    S = random_distributive_universe(seed).system()
+    F = t_tilde_star(S)
+
+    def tangles_of(search, reference):
+        got = search(S, F)
+        assert got == reference(S, F)
+        return got
+
+    _assert_parity(S, tangles_of, seed)
