@@ -52,9 +52,10 @@ def star_leq(sigma, tau):
 
 class Orientation:
     """One orientation per unoriented member of a system; `bits` is its
-    bitset over the system's `IndexTable`."""
+    bitset over the system's `IndexTable`, and iteration follows the
+    table's order."""
 
-    __slots__ = ("system", "chosen", "bits", "_hash")
+    __slots__ = ("system", "chosen", "bits", "_sorted", "_hash")
 
     def __init__(self, system, chosen):
         chosen = frozenset(chosen)
@@ -74,14 +75,14 @@ class Orientation:
         self.system = system
         self.chosen = chosen
         self.bits = bits
+        self._sorted = [T.members[i] for i in bits_of(bits)]
         self._hash = hash((system, chosen))
 
     def __contains__(self, s):
         return s in self.chosen
 
     def __iter__(self):
-        members = self.system.table().members
-        return iter([members[i] for i in bits_of(self.bits)])
+        return iter(self._sorted)
 
     def __len__(self):
         return len(self.chosen)
@@ -353,14 +354,12 @@ def is_profile(O):
     """No (r v s)* inside O for r,s in O with r v s in the system; the
     witness is the first such pair in sort_key order."""
     T = O.system.table()
-    bits = O.bits
-    ids = bits_of(bits)
-    for n, i in enumerate(ids):
-        r = T.members[i]
-        for j in ids[n:]:
-            t = T.find(r.join(T.members[j]))
-            if t is not None and bits >> T.inv[t] & 1 and T.inv[t] != t:
-                return False, (r, T.members[j])
+    members = list(O)
+    for n, r in enumerate(members):
+        for s in members[n:]:
+            t = T.find(r.join(s))
+            if t is not None and O.bits >> T.inv[t] & 1 and T.inv[t] != t:
+                return False, (r, s)
     return True, None
 
 
