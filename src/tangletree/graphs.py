@@ -85,8 +85,15 @@ def vertex_mask(vertices):
 
 
 def mask_bits(mask):
-    """Vertices of an int bitmask, ascending, as a list."""
-    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+    """Positions of the set bits of an int, ascending, as a list: the
+    vertices of a vertex mask, the members of a bitset over a system's
+    `IndexTable`."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def mask_vertices(mask):

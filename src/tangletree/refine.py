@@ -7,7 +7,7 @@ from .errors import (EmulationFailure, HypothesisFailure, NotExclusiveAnywhere,
                      OutOfDomain, SearchExhausted, TooLarge, VerificationFailed)
 from .distinguish import DistinguisherTable
 from .graphs import mask_bits
-from .seps import bits_of, from_masks, nested
+from .seps import from_masks, nested
 from .tangles import (CoverFamily, check_star, closely_related, distinguishes,
                       f_tangles, interior, star_leq)
 from .trees import STree, NestedSet, TreeDecomposition, to_stree
@@ -283,17 +283,17 @@ def _split_search(sigma, F, S):
 
     def build(nb, used):
         if nb in in_F:
-            return _Fragment(frozenset(members[i] for i in bits_of(nb)))
+            return _Fragment(frozenset(members[i] for i in mask_bits(nb)))
         if nb in memo_fail:
             return None
         if budget[0] <= 0:
             raise TooLarge("refinement search budget exhausted")
         budget[0] -= 1
         ok = (1 << len(members)) - 1 & ~used
-        for t in bits_of(nb):
+        for t in mask_bits(nb):
             ok &= allowed[t]
         cands = []
-        for u in bits_of(ok):
+        for u in mask_bits(ok):
             v = inv[u]
             below = nb & down[u]
             b1, b2 = below | 1 << v, nb ^ below | 1 << u

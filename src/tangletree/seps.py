@@ -194,16 +194,6 @@ def nested(a, b):
     return compare(a, b) != "crossing"
 
 
-def bits_of(x):
-    """Positions of the set bits of x, ascending."""
-    out = []
-    while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
-    return out
-
-
 class IndexTable:
     """The members of a system numbered in `sort_key` order, with the order
     relation as int bitsets over those numbers.
@@ -250,7 +240,7 @@ class IndexTable:
     def is_star(self, ids):
         """Whether the members with the bitset ids form a star: none is
         degenerate and x <= y* for any two of them."""
-        for x in bits_of(ids):
+        for x in mask_bits(ids):
             if self.inv[x] == x or ids & ~self.upinv[x] & ~(1 << x):
                 return False
         return True

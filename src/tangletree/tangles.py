@@ -11,8 +11,8 @@ from itertools import combinations
 
 from .errors import (HypothesisFailure, Indistinct, NotAStar, NotInProfile,
                      VerificationFailed)
-from .graphs import mask_vertices, vertex_mask
-from .seps import bits_of, canonical
+from .graphs import mask_bits, mask_vertices, vertex_mask
+from .seps import canonical
 
 
 def same_separation(x, y):
@@ -75,7 +75,7 @@ class Orientation:
         self.system = system
         self.chosen = chosen
         self.bits = bits
-        self._sorted = [T.members[i] for i in bits_of(bits)]
+        self._sorted = [T.members[i] for i in mask_bits(bits)]
         self._hash = hash((system, chosen))
 
     def __contains__(self, s):
@@ -107,7 +107,7 @@ def is_consistent(O):
     """
     T = O.system.table()
     bits = O.bits
-    for x in bits_of(bits):
+    for x in mask_bits(bits):
         hit = T.incons[x] & bits
         if hit:
             y = (hit & -hit).bit_length() - 1
@@ -257,7 +257,7 @@ def p_s_family(S):
     T = S.table()
     out = set()
     for i, r in enumerate(T.members):
-        for j in bits_of((T.upinv[i] | 1 << i) >> i << i):
+        for j in mask_bits((T.upinv[i] | 1 << i) >> i << i):
             s = T.members[j]
             t = T.find(r.join(s))
             if t is not None and T.is_star(1 << i | 1 << j | 1 << T.inv[t]):

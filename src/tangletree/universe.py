@@ -9,8 +9,9 @@ from itertools import combinations
 from .errors import (HypothesisFailure, NonDistributive, NotInSystem,
                      ParseError, StepBudgetExceeded, TooLarge,
                      VerificationFailed)
+from .graphs import mask_bits
 from .refine import _premise, _refine, enumerate_stars, proper_members
-from .seps import SeparationSystem, bits_of, enumerate_separations, nested
+from .seps import SeparationSystem, enumerate_separations, nested
 from .tangles import (StarFamily, check_star, check_star_family,
                       closely_related, f_tangles, is_good, is_star,
                       regular_profiles, star_leq)
@@ -105,7 +106,7 @@ class UniverseElement:
         n = len(members)
         up, down, upinv, downinv = [0] * n, [0] * n, [0] * n, [0] * n
         for i, x in enumerate(members):
-            for b in bits_of(U._up[x.i]):
+            for b in mask_bits(U._up[x.i]):
                 j = pos[b]
                 if j is not None:
                     up[i] |= 1 << j
