@@ -126,23 +126,34 @@ class StarFamily:
     def __init__(self, elements, tag="user"):
         self.elements = frozenset(frozenset(e) for e in elements)
         self.tag = tag
-        self._by_member = {}
-        for el in self.elements:
-            for s in el:
-                self._by_member.setdefault(s, []).append(el)
+        self._ordered = None
 
-    def violation(self, chosen, y):
-        """An element of F inside chosen | {y} that contains y, else None."""
-        for el in self._by_member.get(y, ()):
-            if all(s == y or s in chosen for s in el):
-                return el
-        return None
+    def blocker(self, T):
+        """The search prune over the table T: blocked(bits, y) is whether an
+        element of F contains member y and lies inside bits | {y}.  An element
+        with a member outside T can never do so and is dropped."""
+        by_member = {}
+        for el in self.elements:
+            if all(s in T.index for s in el):
+                e = T.bits(el)
+                for y in mask_bits(e):
+                    by_member.setdefault(y, []).append(e)
+
+        def blocked(bits, y):
+            with_y = bits | 1 << y
+            return any(not e & ~with_y for e in by_member.get(y, ()))
+
+        return blocked
 
     def __contains__(self, star):
         return frozenset(star) in self.elements
 
     def subset_in(self, O):
-        for el in sorted(self.elements, key=lambda e: sorted(s.sort_key for s in e)):
+        """The first element inside O, elements ordered by their sorted keys."""
+        if self._ordered is None:
+            self._ordered = sorted(self.elements,
+                                   key=lambda e: sorted(s.sort_key for s in e))
+        for el in self._ordered:
             if all(s in O for s in el):
                 return el
         return None
@@ -241,8 +252,83 @@ class CoverFamily:
         """Whether the set of separations seps is an element of the family."""
         return self._cover((), seps) is not None
 
-    def violation(self, chosen, y):
-        return self._cover(chosen, (y,))
+    def blocker(self, T):
+        """The search prune over the table T: blocked(bits, y) is whether a
+        set of at most three members, y and the rest from bits, is an element
+        of the family.  The answer is a yes or no, with no witness.
+
+        The items of G are its vertices, then its edges.  cov[i] holds the
+        items inside the A-side of member i, col[t] the members whose A-side
+        holds item t; an edge's column is the AND of its ends' columns.  y
+        is blocked alone when cov[y] is every item, with one x of bits when
+        x lies in the column of every item y leaves open (that AND is kept
+        per y for the search), and with two when, for some x of bits that
+        holds the open item with the fewest such x, a member of bits lies in
+        the column of every item y and x leave open.  For T_k* every x is
+        also non-degenerate with x <= y*, the third member also <= x*, and a
+        degenerate y is never blocked.
+        """
+        n = self.G.n
+        members = T.members
+        cov = []
+        col = [0] * n
+        for i, s in enumerate(members):
+            v, e = self.masks[s.a]
+            cov.append(v | e << n)
+            for u in mask_bits(s.a):
+                col[u] |= 1 << i
+        for m in self.masks.edges:
+            u, w = mask_bits(m)
+            col.append(col[u] & col[w])
+        full = (1 << len(col)) - 1
+        stars = self.stars_only
+        inv, upinv = T.inv, T.upinv
+        nondeg = (1 << len(members)) - 1
+        for i, t in enumerate(inv):
+            if i == t:
+                nondeg ^= 1 << i
+        pair = [None] * len(members)
+        opens = [None] * len(members)
+
+        def blocked(bits, y):
+            if stars:
+                if inv[y] == y:
+                    return False
+                bits &= upinv[y] & nondeg
+            cy = cov[y]
+            if cy == full:
+                return True
+            if not bits:
+                return False
+            items = opens[y]
+            if items is None:
+                items = opens[y] = mask_bits(full & ~cy)
+                p = -1
+                for t in items:
+                    p &= col[t]
+                pair[y] = p
+            if bits & pair[y]:
+                return True
+            best, fewest = 0, len(members) + 1
+            for t in items:
+                c = bits & col[t]
+                if not c:
+                    return False
+                if c.bit_count() < fewest:
+                    best, fewest = c, c.bit_count()
+            for x in mask_bits(best):
+                c = bits & upinv[x] if stars else bits
+                cx = cov[x]
+                for t in items:
+                    if not cx >> t & 1:
+                        c &= col[t]
+                        if not c:
+                            break
+                if c:
+                    return True
+            return False
+
+        return blocked
 
     def subset_in(self, O):
         return self._cover(O)
@@ -334,9 +420,11 @@ def f_tangles(S, F):
     certificate raises VerificationFailed.
     """
     T = S.table()
+    incons = T.incons
+    blocked = F.blocker(T)
 
     def prune(chosen, bits, y):
-        return bool(bits & T.incons[y]) or F.violation(chosen, T.members[y]) is not None
+        return bool(bits & incons[y]) or blocked(bits, y)
 
     out = []
     for chosen in _backtrack_orientations(S, prune):

@@ -4,8 +4,9 @@ from itertools import combinations
 
 from tangletree.errors import CrossingEdge, TooLarge
 from tangletree.seps import OrientedSeparation, SeparationSystem, separation
-from tangletree.tangles import (Orientation, StarFamily, _backtrack_orientations,
-                                is_regular, is_star, same_separation)
+from tangletree.tangles import (CoverFamily, Orientation, StarFamily,
+                                _backtrack_orientations, is_regular, is_star,
+                                same_separation)
 
 
 def induced_edges(G, X):
@@ -126,11 +127,13 @@ def is_profile(O):
 def f_tangles(S, F):
     """The F-tangles of S from the element-wise prune, sorted."""
     members = S.table().members
+    violation = (reference_violation if isinstance(F, CoverFamily)
+                 else reference_star_violation)
 
     def prune(chosen, bits, i):
         y = members[i]
         return (any(pair_inconsistent(x, y) for x in chosen)
-                or F.violation(chosen, y) is not None)
+                or violation(F, chosen, y) is not None)
 
     out = [Orientation(S, c) for c in _backtrack_orientations(S, prune)]
     out = [O for O in out if is_consistent(O)[0] and F.subset_in(O.chosen) is None]
@@ -364,8 +367,19 @@ def reference_cover_contains(F, seps):
     return covered == G.edges and (not F.stars_only or is_star(seps))
 
 
+def reference_star_violation(F, chosen, y):
+    """An element of the `StarFamily` F inside chosen | {y} that contains y,
+    else None; the reference for `StarFamily.blocker`."""
+    for el in F.elements:
+        if y in el and all(s == y or s in chosen for s in el):
+            return el
+    return None
+
+
 def reference_violation(F, chosen, y):
-    """`CoverFamily.violation` by set unions, with the sum-of-sizes bound."""
+    """An element of the `CoverFamily` F inside chosen | {y} that contains y,
+    else None, by set unions with the sum-of-sizes bound; the witness form
+    of `CoverFamily.blocker`."""
     if reference_cover_contains(F, {y}):
         return frozenset({y})
     # A-sides must cover V; descending |A| lets the loops break early

@@ -1,39 +1,54 @@
-"""The covering-triple kernel against the set-based loops it replaced."""
+"""The search prunes of both families and the covering-triple kernel
+against the set-based loops they replaced."""
+
+import random
+from itertools import combinations
 
 import pytest
 
 from conftest import random_graph
-from oracles import (reference_cover_contains, reference_subset_in,
-                     reference_violation, reference_witnesses)
+from oracles import (reference_cover_contains, reference_star_violation,
+                     reference_subset_in, reference_violation, reference_witnesses)
+from tangletree import tangles
 from tangletree.blocks import tangle_correspondence
 from tangletree.distinguish import build_efficient_nested_set
-from tangletree.examples import bridged_cliques
+from tangletree.examples import bridged_cliques, satellite_cliques
+from tangletree.graphs import Graph, mask_bits
 from tangletree.refine import theorem_1_2
 from tangletree.seps import enumerate_separations
-from tangletree.tangles import (CoverFamily, f_tangles, profile_stand_in_family,
-                                regular_profiles)
+from tangletree.tangles import (CoverFamily, StarFamily, covering_subset, f_tangles,
+                                profile_stand_in_family, regular_profiles)
 from tangletree.trees import NestedSet
+from tangletree.universe import random_distributive_universe, t_tilde_star
 
 
 class _CheckedFamily(CoverFamily):
-    """A cover family that checks every prune call of the search against the
-    reference: the witness of violation(chosen, y), and subset_in on the
-    orientation chosen | {y} that the call examines."""
+    """A cover family that checks every call of the search prune against the
+    reference: blocked(bits, y) against the witness of reference_violation,
+    and subset_in on the orientation chosen | {y} that the call examines."""
 
     calls = 0
 
-    def violation(self, chosen, y):
-        got = super().violation(chosen, y)
-        assert got == reference_violation(self, chosen, y), (chosen, y)
-        O = chosen | {y}
-        sub = self.subset_in(O)
-        assert sub == reference_subset_in(self, O), O
-        for hit in (got, sub):
-            if hit is not None:
-                assert hit in self and reference_cover_contains(self, hit)
-        assert ({y} in self) == reference_cover_contains(self, {y})
-        self.calls += 1
-        return got
+    def blocker(self, T):
+        blocked = super().blocker(T)
+
+        def checked(bits, y):
+            got = blocked(bits, y)
+            chosen = frozenset(T.members[i] for i in mask_bits(bits))
+            y = T.members[y]
+            want = reference_violation(self, chosen, y)
+            assert got == (want is not None), (chosen, y)
+            O = chosen | {y}
+            sub = self.subset_in(O)
+            assert sub == reference_subset_in(self, O), O
+            for hit in (want, sub):
+                if hit is not None:
+                    assert hit in self and reference_cover_contains(self, hit)
+            assert ({y} in self) == reference_cover_contains(self, {y})
+            self.calls += 1
+            return got
+
+        return checked
 
 
 @pytest.mark.parametrize("stars_only", [False, True], ids=["Tk", "Tkstars"])
@@ -77,3 +92,103 @@ def test_tangle_correspondence_witnesses_match_reference(G, k):
             hit = rep["witnesses_detail"]["witnesses"]
             assert 1 <= len(hit) <= 3 and all(s in P and not s.is_degenerate for s in hit)
             assert not reference_witnesses(bag, hit)
+
+
+@pytest.mark.parametrize("stars_only", [False, True], ids=["Tk", "Tkstars"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3], ids=["K1", "K2", "K3"])
+def test_cover_prune_matches_reference_on_every_subset(n, k, stars_only):
+    # below k vertices S_k holds (V, V): it covers G alone, so it blocks
+    # under T_k and, being no star, never under T_k*.  Beyond ten members
+    # (K3 at k=3 and 4) only the bitsets holding at most one orientation of
+    # each separation are tried, as the search asks.
+    G = Graph(n, combinations(range(n), 2))
+    S = enumerate_separations(G, k)
+    T = S.table()
+    F = CoverFamily(G, k, stars_only=stars_only)
+    blocked = F.blocker(T)
+    N = len(T.members)
+    both = [1 << i | 1 << t for i, t in enumerate(T.inv) if i < t] if N > 10 else []
+    for bits in range(1 << N):
+        if any(bits & p == p for p in both):
+            continue
+        chosen = frozenset(T.members[i] for i in mask_bits(bits))
+        for y in range(N):
+            if not bits >> y & 1:
+                want = reference_violation(F, chosen, T.members[y])
+                assert blocked(bits, y) == (want is not None), (chosen, y)
+
+
+def _random_bitsets(N, rng, count):
+    """count random bitsets over N members, about 1/2, 1/4 and 1/8 full."""
+    for density in (1, 2, 3) * (count // 3):
+        bits = rng.getrandbits(N)
+        for _ in range(density):
+            bits &= rng.getrandbits(N)
+        yield bits
+
+
+@pytest.mark.parametrize("stars_only", [False, True], ids=["Tk", "Tkstars"])
+@pytest.mark.parametrize("k", [3, 4])
+def test_cover_prune_matches_reference_on_random_bitsets(k, stars_only):
+    # unlike the search's, these sets need not be consistent orientations
+    for seed in range(3):
+        G = random_graph(seed, lo=6, hi=6)
+        T = enumerate_separations(G, k).table()
+        F = CoverFamily(G, k, stars_only=stars_only)
+        blocked = F.blocker(T)
+        N = len(T.members)
+        for bits in _random_bitsets(N, random.Random(seed), 6):
+            chosen = frozenset(T.members[i] for i in mask_bits(bits))
+            for y in range(N):
+                if not bits >> y & 1:
+                    want = reference_violation(F, chosen, T.members[y])
+                    assert blocked(bits, y) == (want is not None), (chosen, y)
+
+
+class _CheckedStarFamily(StarFamily):
+    """An explicit family that checks every call of the search prune against
+    the element loop it replaced."""
+
+    calls = 0
+
+    def blocker(self, T):
+        blocked = super().blocker(T)
+
+        def checked(bits, y):
+            got = blocked(bits, y)
+            chosen = frozenset(T.members[i] for i in mask_bits(bits))
+            want = reference_star_violation(self, chosen, T.members[y])
+            assert got == (want is not None), (chosen, T.members[y])
+            self.calls += 1
+            return got
+
+        return checked
+
+
+def _star_systems():
+    G = bridged_cliques(4)
+    S = enumerate_separations(G, 4)
+    # an element with a member outside S never blocks
+    outside = next(s for s in enumerate_separations(G, 5) if s.order == 4)
+    F = profile_stand_in_family(S)
+    F = StarFamily(set(F) | {frozenset({S.unoriented()[-1], outside})})
+    yield pytest.param(S, F, id="profiles")
+    A = random_distributive_universe(0).system()
+    yield pytest.param(A, t_tilde_star(A), id="Ttildestars")
+
+
+@pytest.mark.parametrize("S,F", _star_systems())
+def test_star_family_prune_matches_the_element_loop(S, F):
+    checked = _CheckedStarFamily(F.elements, tag=F.tag)
+    assert f_tangles(S, checked) == f_tangles(S, F)
+    assert checked.calls > 0
+    T = S.table()
+    blocked = F.blocker(T)
+    N = len(T.members)
+    for bits in _random_bitsets(N, random.Random(0), 12):
+        chosen = frozenset(T.members[i] for i in mask_bits(bits))
+        for y in range(N):
+            if not bits >> y & 1:
+                want = reference_star_violation(F, chosen, T.members[y])
+                assert blocked(bits, y) == (want is not None), (chosen, y)
