@@ -94,6 +94,15 @@ def test_tangle_correspondence_witnesses_match_reference(G, k):
             assert not reference_witnesses(bag, hit)
 
 
+def _check_bitset(blocked, reference, F, T, bits):
+    """blocked(bits, y) against the reference's witness, for every y outside bits."""
+    chosen = frozenset(T.members[i] for i in mask_bits(bits))
+    for y in range(len(T.members)):
+        if not bits >> y & 1:
+            want = reference(F, chosen, T.members[y])
+            assert blocked(bits, y) == (want is not None), (chosen, y)
+
+
 @pytest.mark.parametrize("stars_only", [False, True], ids=["Tk", "Tkstars"])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 3], ids=["K1", "K2", "K3"])
@@ -112,11 +121,7 @@ def test_cover_prune_matches_reference_on_every_subset(n, k, stars_only):
     for bits in range(1 << N):
         if any(bits & p == p for p in both):
             continue
-        chosen = frozenset(T.members[i] for i in mask_bits(bits))
-        for y in range(N):
-            if not bits >> y & 1:
-                want = reference_violation(F, chosen, T.members[y])
-                assert blocked(bits, y) == (want is not None), (chosen, y)
+        _check_bitset(blocked, reference_violation, F, T, bits)
 
 
 def _random_bitsets(N, rng, count):
@@ -139,11 +144,7 @@ def test_cover_prune_matches_reference_on_random_bitsets(k, stars_only):
         blocked = F.blocker(T)
         N = len(T.members)
         for bits in _random_bitsets(N, random.Random(seed), 6):
-            chosen = frozenset(T.members[i] for i in mask_bits(bits))
-            for y in range(N):
-                if not bits >> y & 1:
-                    want = reference_violation(F, chosen, T.members[y])
-                    assert blocked(bits, y) == (want is not None), (chosen, y)
+            _check_bitset(blocked, reference_violation, F, T, bits)
 
 
 class _CheckedStarFamily(StarFamily):
@@ -166,20 +167,21 @@ class _CheckedStarFamily(StarFamily):
         return checked
 
 
-def _star_systems():
+def _star_system(name):
+    if name == "Ttildestars":
+        A = random_distributive_universe(0).system()
+        return A, t_tilde_star(A)
     G = bridged_cliques(4)
     S = enumerate_separations(G, 4)
     # an element with a member outside S never blocks
     outside = next(s for s in enumerate_separations(G, 5) if s.order == 4)
     F = profile_stand_in_family(S)
-    F = StarFamily(set(F) | {frozenset({S.unoriented()[-1], outside})})
-    yield pytest.param(S, F, id="profiles")
-    A = random_distributive_universe(0).system()
-    yield pytest.param(A, t_tilde_star(A), id="Ttildestars")
+    return S, StarFamily(set(F) | {frozenset({S.unoriented()[-1], outside})})
 
 
-@pytest.mark.parametrize("S,F", _star_systems())
-def test_star_family_prune_matches_the_element_loop(S, F):
+@pytest.mark.parametrize("name", ["profiles", "Ttildestars"])
+def test_star_family_prune_matches_the_element_loop(name):
+    S, F = _star_system(name)
     checked = _CheckedStarFamily(F.elements, tag=F.tag)
     assert f_tangles(S, checked) == f_tangles(S, F)
     assert checked.calls > 0
@@ -187,8 +189,4 @@ def test_star_family_prune_matches_the_element_loop(S, F):
     blocked = F.blocker(T)
     N = len(T.members)
     for bits in _random_bitsets(N, random.Random(0), 12):
-        chosen = frozenset(T.members[i] for i in mask_bits(bits))
-        for y in range(N):
-            if not bits >> y & 1:
-                want = reference_star_violation(F, chosen, T.members[y])
-                assert blocked(bits, y) == (want is not None), (chosen, y)
+        _check_bitset(blocked, reference_star_violation, F, T, bits)
