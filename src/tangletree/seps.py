@@ -8,8 +8,10 @@ is_small/sort_key) is implemented by universe elements.
 A `SeparationSystem` numbers its members in `sort_key` order, once, in an
 `IndexTable`: the inverse as an int list and each member's up-set and
 down-set as int bitsets.  The tangle search, its certificates, the profile
-family and `classify` read these bitsets, so they are generic over both
-element backends; only building the up- and down-sets is backend-specific.
+family and `classify` read these bitsets, and the table's `join` and `meet`
+kernels answer lattice questions with member numbers, so they are generic
+over both element backends; only building the up- and down-sets and the two
+kernels is backend-specific.
 """
 
 from itertools import combinations
@@ -134,6 +136,45 @@ class OrientedSeparation:
             down.append(d)
         return up, down, [down[t] for t in inv], [up[t] for t in inv]
 
+    @staticmethod
+    def _lattice_kernels(members, bound):
+        """join(i, j) and meet(i, j) over the separations `members` of one
+        graph: the position of the join or meet of members i and j, or None
+        when it is not among them.
+
+        Both work on the masks and allocate no separation.  A result of
+        order `bound` or more is rejected before the lookup, as in
+        `IndexTable.find`; the lookup dict, keyed by a << n | b, is built on
+        the first call.
+        """
+        n = members[0].graph.n
+        A = [s.a for s in members]
+        B = [s.b for s in members]
+        number = {}
+        if bound is None:
+            bound = n + 1                  # no separation has that order
+
+        def fill():
+            number.update((s.a << n | s.b, k) for k, s in enumerate(members))
+
+        def join(i, j):
+            a, b = A[i] | A[j], B[i] & B[j]
+            if (a & b).bit_count() >= bound:
+                return None
+            if not number:
+                fill()
+            return number.get(a << n | b)
+
+        def meet(i, j):
+            a, b = A[i] & A[j], B[i] | B[j]
+            if (a & b).bit_count() >= bound:
+                return None
+            if not number:
+                fill()
+            return number.get(a << n | b)
+
+        return join, meet
+
 
 def from_masks(graph, a, b):
     """The registered member (a, b) of graph, else a fresh separation."""
@@ -204,10 +245,14 @@ class IndexTable:
     incons[y] holds the x with x* <= y or y* <= x, other than y and y*: the
     members that no consistent orientation holds together with y.  reps
     lists the canonical representatives, one per unoriented member.
+
+    join(i, j) and meet(i, j) are the numbers of members[i].join(members[j])
+    and members[i].meet(members[j]), or None when those are not members;
+    they answer as `find` would and allocate no element.
     """
 
     __slots__ = ("members", "index", "inv", "up", "down", "upinv", "incons",
-                 "reps", "_bound")
+                 "reps", "join", "meet", "_bound")
 
     def __init__(self, oriented, bound):
         self.members = members = sorted(oriented, key=lambda s: s.sort_key)
@@ -216,8 +261,10 @@ class IndexTable:
         self._bound = bound
         if members:
             up, down, upinv, downinv = members[0]._order_sets(members, inv)
+            self.join, self.meet = members[0]._lattice_kernels(members, bound)
         else:
             up = down = upinv = downinv = []
+            self.join = self.meet = None
         self.up, self.down, self.upinv = up, down, upinv
         self.incons = [(downinv[y] | up[t]) & ~(1 << y | 1 << t)
                        for y, t in enumerate(inv)]

@@ -9,8 +9,7 @@ consistency test is one AND with a precomputed bitset instead of a loop of
 
 from itertools import combinations
 
-from .errors import (HypothesisFailure, Indistinct, NotAStar, NotInProfile,
-                     VerificationFailed)
+from .errors import Indistinct, NotAStar, NotInProfile, VerificationFailed
 from .graphs import mask_bits, mask_vertices, vertex_mask
 from .seps import canonical
 
@@ -338,14 +337,15 @@ def p_s_family(S):
     """The stars among P_S: all {r, s, (r v s)*} with r v s in S.
 
     A star {r, s, ...} with r != s needs r <= s*, so for each r only s = r
-    and the s in inv(up[r]) from r on are tried, in sort_key order.
+    and the s in inv(up[r]) from r on are tried, in sort_key order; the
+    join is read from the table's `join` kernel.
     """
     T = S.table()
     out = set()
     for i, r in enumerate(T.members):
         for j in mask_bits((T.upinv[i] | 1 << i) >> i << i):
             s = T.members[j]
-            t = T.find(r.join(s))
+            t = T.join(i, j)
             if t is not None and T.is_star(1 << i | 1 << j | 1 << T.inv[t]):
                 out.add(frozenset({r, s, T.members[T.inv[t]]}))
     return StarFamily(out, tag="P_S-derived")
@@ -442,12 +442,13 @@ def is_profile(O):
     """No (r v s)* inside O for r,s in O with r v s in the system; the
     witness is the first such pair in sort_key order."""
     T = O.system.table()
-    members = list(O)
-    for n, r in enumerate(members):
-        for s in members[n:]:
-            t = T.find(r.join(s))
-            if t is not None and O.bits >> T.inv[t] & 1 and T.inv[t] != t:
-                return False, (r, s)
+    bits, inv, join = O.bits, T.inv, T.join
+    ids = mask_bits(bits)
+    for n, i in enumerate(ids):
+        for j in ids[n:]:
+            t = join(i, j)
+            if t is not None and bits >> inv[t] & 1 and inv[t] != t:
+                return False, (T.members[i], T.members[j])
     return True, None
 
 
@@ -466,19 +467,18 @@ def regular_profiles(S):
     VerificationFailed.
     """
     T = S.table()
-    members, inv, up = T.members, T.inv, T.up
+    inv, up, incons, join = T.inv, T.up, T.incons, T.join
 
     def prune(chosen, bits, y):
         t = inv[y]
         if t != y and up[t] >> y & 1:              # y is co-small
             return True
-        if bits & T.incons[y]:
+        if bits & incons[y]:
             return True
         # profile pruning: adding y must not complete {r, s, (r v s)*}
         with_y = bits | 1 << y
-        s = members[y]
-        for x in chosen:
-            j = T.find(x.join(s))
+        for x in mask_bits(bits):
+            j = join(x, y)
             if j is not None and with_y >> inv[j] & 1 and inv[j] != j:
                 return True
         return False
@@ -500,12 +500,15 @@ def regular_profiles(S):
 
 
 def closely_related(s, P):
-    """s in P and r ^ s in S for every r in P; witness is a failing r."""
+    """s in P and r ^ s in S for every r in P; witness is the first failing
+    r in sort_key order.  The meets are read from the table's `meet` kernel."""
     if s not in P:
         raise NotInProfile("%r not in the profile" % (s,))
-    for r in P:
-        if r.meet(s) not in P.system:
-            return False, r
+    T = P.system.table()
+    i, meet = T.index[s], T.meet
+    for r in mask_bits(P.bits):
+        if meet(r, i) is None:
+            return False, T.members[r]
     return True, None
 
 
@@ -543,32 +546,6 @@ def is_good(s, tangles):
                     if closely_related(a, P)[0] and closely_related(a.inv, Q)[0]:
                         return True, (P, Q)
     return False, None
-
-
-def star_status(sigma, tangles):
-    sigma = check_star(sigma)
-    owners = [P for P in tangles if all(s in P for s in sigma)]
-    return {
-        "owners": owners,
-        "essential": len(owners) >= 1,
-        "exclusive": len(owners) == 1,
-    }
-
-
-def guarded_infimum(s, M, assignments):
-    """r := s ^ meet(M); in S and closely related when the hypotheses hold.
-
-    assignments maps each m in M to a profile containing s to which m is
-    closely related.
-    """
-    for m in M:
-        P = assignments.get(m)
-        if P is None or s not in P or not closely_related(m, P)[0]:
-            raise HypothesisFailure("m=%r lacks a valid profile assignment" % (m,))
-    r = s
-    for m in sorted(M, key=lambda x: x.sort_key):
-        r = r.meet(m)
-    return r
 
 
 def check_star_family(F, S):

@@ -100,9 +100,7 @@ class UniverseElement:
         universe, as bitsets over their positions, read off the universe's
         up-sets `_up`."""
         U = members[0].universe
-        pos = [None] * len(U.ids)
-        for j, x in enumerate(members):
-            pos[x.i] = j
+        pos = _positions(U, members)
         n = len(members)
         up, down, upinv, downinv = [0] * n, [0] * n, [0] * n, [0] * n
         for i, x in enumerate(members):
@@ -114,6 +112,37 @@ class UniverseElement:
                     upinv[i] |= 1 << inv[j]
                     downinv[j] |= 1 << inv[i]
         return up, down, upinv, downinv
+
+    @staticmethod
+    def _lattice_kernels(members, bound):
+        """join(i, j) and meet(i, j) over the elements `members` of one
+        universe: the universe's `_join` or `_meet` entry for members i and
+        j, mapped to its position among them, or None when it is not one.
+
+        Every member lies below `bound` when there is one, so the result's
+        position alone decides.
+        """
+        U = members[0].universe
+        pos = _positions(U, members)
+        ids = [x.i for x in members]
+        ujoin, umeet = U._join, U._meet
+
+        def join(i, j):
+            return pos[ujoin[ids[i]][ids[j]].i]
+
+        def meet(i, j):
+            return pos[umeet[ids[i]][ids[j]].i]
+
+        return join, meet
+
+
+def _positions(U, members):
+    """pos[x.i] is the position of x in `members`, None for the other
+    elements of the universe U."""
+    pos = [None] * len(U.ids)
+    for j, x in enumerate(members):
+        pos[x.i] = j
+    return pos
 
 
 class Universe:
@@ -381,33 +410,51 @@ def _element_distributive(x):
 
 
 def t_prime(S):
-    """T': pairs {r,s} of S with r <= s.inv whose join is co-small."""
-    lst = sorted(S, key=lambda s: s.sort_key)
+    """T': pairs {r,s} of S with r <= s.inv whose join is co-small.
+
+    For each r only s = r and the s in inv(up[r]) after r are tried, in
+    sort_key order; the join is an element call, since it may leave S.
+    """
+    T = S.table()
+    lst = T.members
     out = set()
     for i, r in enumerate(lst):
-        for s in lst[i:]:
-            if r.leq(s.inv):
-                j = r.join(s)
-                if j.inv.leq(j):
-                    out.add(frozenset((r, s)))
+        for j in mask_bits(T.upinv[i] >> i << i):
+            x = r.join(lst[j])
+            if x.inv.leq(x):
+                out.add(frozenset((r, lst[j])))
     return StarFamily(out, tag="Tprime")
 
 
 def t_tilde_star(S):
     """Stars of at most three members with a co-small join, plus the singleton
-    inverses of small and trivial members; the abstract-tangle family."""
+    inverses of small and trivial members; the abstract-tangle family.
+
+    A star {a, b, c}, listed in table order, is non-degenerate with
+    b, c in inv(up[a]) and c in inv(up[b]): `is_star`'s r <= s* for each
+    r before s.  Only those are enumerated, as bitsets; their joins are
+    element calls, since they may leave S.
+    """
     T = S.table()
-    lst = T.members
+    lst, inv, upinv = T.members, T.inv, T.upinv
+    nondeg = 0
+    for i, t in enumerate(inv):
+        if i != t:
+            nondeg |= 1 << i
     out = set()
-    for n in range(1, 4):
-        for c in combinations(lst, n):
-            if not is_star(c):
-                continue
-            j = None
-            for x in c:
-                j = x if j is None else j.join(x)
+    for a in mask_bits(nondeg):
+        r = lst[a]
+        if r.inv.leq(r):
+            out.add(frozenset((r,)))
+        after_a = upinv[a] & (nondeg >> a + 1 << a + 1)
+        for b in mask_bits(after_a):
+            j = r.join(lst[b])
             if j.inv.leq(j):
-                out.add(frozenset(c))
+                out.add(frozenset((r, lst[b])))
+            for c in mask_bits(after_a & (upinv[b] >> b + 1 << b + 1)):
+                x = j.join(lst[c])
+                if x.inv.leq(x):
+                    out.add(frozenset((r, lst[b], lst[c])))
     for i, r in enumerate(lst):
         if r.is_degenerate:
             continue

@@ -124,6 +124,51 @@ def is_profile(O):
     return True, None
 
 
+def t_prime(S):
+    """T' over all pairs of members, by element calls."""
+    lst = sorted(S, key=lambda s: s.sort_key)
+    out = set()
+    for i, r in enumerate(lst):
+        for s in lst[i:]:
+            if r.leq(s.inv):
+                j = r.join(s)
+                if j.inv.leq(j):
+                    out.add(frozenset((r, s)))
+    return StarFamily(out, tag="Tprime")
+
+
+def t_tilde_star(S):
+    """T~* over all subsets of at most three members, by `is_star` and
+    element calls."""
+    T = S.table()
+    lst = T.members
+    out = set()
+    for n in range(1, 4):
+        for c in combinations(lst, n):
+            if not is_star(c):
+                continue
+            j = None
+            for x in c:
+                j = x if j is None else j.join(x)
+            if j.inv.leq(j):
+                out.add(frozenset(c))
+    for i, r in enumerate(lst):
+        if r.is_degenerate:
+            continue
+        if r.is_small or T.trivial_witness(i) is not None:
+            out.add(frozenset({r.inv}))
+    return StarFamily(out, tag="Ttildestars")
+
+
+def closely_related(s, P):
+    """Whether r ^ s is in the system for every r of P, with the first
+    failing r, by element calls."""
+    for r in P:
+        if r.meet(s) not in P.system:
+            return False, r
+    return True, None
+
+
 def f_tangles(S, F):
     """The F-tangles of S from the element-wise prune, sorted."""
     members = S.table().members

@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 import oracles
 from conftest import random_graph
 from tangletree import seps
-from tangletree.examples import bridged_cliques
-from tangletree.seps import canonical, classify, enumerate_separations
-from tangletree.tangles import (CoverFamily, Orientation, f_tangles, is_consistent,
-                                is_profile, p_s_family, profile_stand_in_family,
-                                regular_profiles)
-from tangletree.universe import random_distributive_universe, t_tilde_star
+from tangletree.cliquetangles import CliqueCover
+from tangletree.examples import bridged_cliques, satellite_cliques
+from tangletree.seps import OrientedSeparation, canonical, classify, enumerate_separations
+from tangletree.tangles import (CoverFamily, Orientation, closely_related, f_tangles,
+                                is_consistent, is_profile, p_s_family,
+                                profile_stand_in_family, regular_profiles)
+from tangletree.universe import random_distributive_universe, t_prime, t_tilde_star
 
 
 def _graph_system(seed, k):
@@ -33,6 +34,29 @@ SMALL = ([("graph-%d-k%d" % (seed, k), lambda seed=seed, k=k: _graph_system(seed
          + [("bridged4-k3", lambda: enumerate_separations(bridged_cliques(4), 3))]
          + [("universe-%d" % seed, lambda seed=seed: random_distributive_universe(seed).system())
             for seed in range(4)])
+
+
+def _universe_subsystem(seed):
+    """An involution-closed third of a universe: some of its joins and meets
+    are elements of the universe outside the system."""
+    U = random_distributive_universe(seed)
+    some = list(U)[:len(U) // 3]
+    return U.system(set(some) | {x.inv for x in some})
+
+
+def _base_system():
+    # the base patterns of a clique cover: a system with no order bound
+    # satellite_cliques(4, 2): a central K4 and two satellite K4, each joined
+    # to it through two connector vertices of degree two
+    cliques = [range(4), range(6, 10), range(12, 16),
+               [0, 4], [4, 6], [1, 5], [5, 7], [2, 10], [10, 12], [3, 11], [11, 13]]
+    S = CliqueCover(satellite_cliques(4, 2), cliques, 3).base_system()
+    assert S.k is None and S._bound is None
+    return S
+
+
+KERNEL = SMALL + [("universe-sub-%d" % seed, lambda seed=seed: _universe_subsystem(seed))
+                  for seed in range(2)] + [("clique-cover-base", _base_system)]
 
 
 @pytest.mark.parametrize("build", [b for _, b in SMALL], ids=[n for n, _ in SMALL])
@@ -51,6 +75,42 @@ def test_table_matches_the_element_protocol(build):
             assert (T.down[i] >> j & 1 == 1) == s.leq(r)
             assert (T.upinv[i] >> j & 1 == 1) == r.leq(s.inv)
             assert (T.incons[i] >> j & 1 == 1) == oracles.pair_inconsistent(r, s)
+
+
+@pytest.mark.parametrize("build", [b for _, b in KERNEL], ids=[n for n, _ in KERNEL])
+def test_join_and_meet_kernels_match_find(build):
+    S = build()
+    T = S.table()
+    members = T.members
+    for i, r in enumerate(members):
+        for j, s in enumerate(members):
+            assert T.join(i, j) == T.find(r.join(s))
+            assert T.meet(i, j) == T.find(r.meet(s))
+
+
+def test_profiles_and_their_family_make_no_element_join(monkeypatch):
+    calls = []
+
+    def counting(name):
+        op = getattr(OrientedSeparation, name)
+
+        def counted(self, other):
+            calls.append(name)
+            return op(self, other)
+        return counted
+
+    S = enumerate_separations(bridged_cliques(4), 4)
+    S.table()
+    monkeypatch.setattr(OrientedSeparation, "join", counting("join"))
+    monkeypatch.setattr(OrientedSeparation, "meet", counting("meet"))
+    profiles = regular_profiles(S)
+    assert profiles
+    for O in profiles:
+        assert is_profile(O)[0]
+        for s in O:
+            closely_related(s, O)
+    profile_stand_in_family(S)
+    assert calls == []
 
 
 def test_table_is_built_once_per_system_and_not_when_enumerating(monkeypatch):
@@ -121,6 +181,9 @@ def _assert_parity(S, tangles_of, seed):
     for O in samples:
         assert is_consistent(O) == oracles.is_consistent(O)
         assert is_profile(O) == oracles.is_profile(O)
+        some = list(O)
+        for s in some[::max(1, len(some) // 4)]:
+            assert closely_related(s, O) == oracles.closely_related(s, O)
     assert T is S.table()
 
 
@@ -151,3 +214,21 @@ def test_bitsets_match_the_element_loops_on_universes(seed):
         return got
 
     _assert_parity(S, tangles_of, seed)
+
+
+@pytest.mark.parametrize("seed", range(36))
+def test_abstract_families_match_the_subset_loops(seed):
+    S = random_distributive_universe(seed).system()
+    assert set(t_tilde_star(S).elements) == set(oracles.t_tilde_star(S).elements)
+    assert set(t_prime(S).elements) == set(oracles.t_prime(S).elements)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_abstract_families_match_the_subset_loops_on_a_subsystem(seed):
+    S = _universe_subsystem(seed)
+    T = S.table()
+    assert any(T.join(i, j) is None for i in range(len(S)) for j in range(len(S)))
+    F = t_tilde_star(S)
+    assert set(F.elements) == set(oracles.t_tilde_star(S).elements)
+    assert set(t_prime(S).elements) == set(oracles.t_prime(S).elements)
+    assert any(len(el) > 1 for el in F.elements)

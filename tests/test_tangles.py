@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
+from lemmas import guarded_infimum, star_status
 from oracles import brute_force_f_tangles
 from tangletree.errors import Indistinct, NotAStar, NotInProfile
 from tangletree.examples import bridged_cliques
@@ -16,10 +17,9 @@ from tangletree.seps import canonical, enumerate_separations, separation
 from tangletree.tangles import (CoverFamily, Orientation, check_star,
                                 check_star_family, closely_related,
                                 distinguishers, distinguishes, f_tangles,
-                                guarded_infimum, interior, is_consistent,
-                                is_good, is_profile, is_regular, is_star,
-                                profile_stand_in_family, regular_profiles,
-                                star_leq, star_status)
+                                interior, is_consistent, is_good, is_profile,
+                                is_regular, is_star, profile_stand_in_family,
+                                regular_profiles, star_leq)
 
 
 def _tangle_counts(G, k, expected):
