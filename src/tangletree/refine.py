@@ -460,10 +460,6 @@ def exclusive_stars(tau, tangles):
         yield st, owners
 
 
-def _closeness_count(st, tau):
-    return sum(1 for s in st if closely_related(s, tau)[0])
-
-
 def min_interior_exclusive_star(tau, sigma, tangles):
     """Star sigma' <= tau with sigma <= sigma', exclusive, minimal interior.
 
@@ -496,8 +492,9 @@ def min_interior_exclusive_star(tau, sigma, tangles):
     if best_size is None:
         raise NotExclusiveAnywhere("tau admits no exclusive star")
     cands = [st for st in excl if len(interior(st, G)) == best_size]
-    cands.sort(key=lambda st: (-_closeness_count(st, tau),
-                               sorted(s.sort_key for s in st)))
+    # each member's closeness to tau is asked once, not once per candidate
+    close = {s for s in frozenset().union(*cands) if closely_related(s, tau)[0]}
+    cands.sort(key=lambda st: (-len(st & close), sorted(s.sort_key for s in st)))
     dom = [st for st in cands if star_leq(sigma, st)]
     if not dom:
         raise VerificationFailed(
