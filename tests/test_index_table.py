@@ -37,17 +37,19 @@ SMALL = ([("graph-%d-k%d" % (seed, k), lambda seed=seed, k=k: _graph_system(seed
 
 
 def _universe_subsystem(seed):
-    """An involution-closed third of a universe: some of its joins and meets
-    are elements of the universe outside the system."""
+    """An involution-closed third of a universe: some of its joins are
+    elements of the universe outside the system."""
     U = random_distributive_universe(seed)
     some = list(U)[:len(U) // 3]
-    return U.system(set(some) | {x.inv for x in some})
+    S = U.system(set(some) | {x.inv for x in some})
+    assert any(r.join(s) not in S for r in S for s in S)
+    return S
 
 
 def _base_system():
-    # the base patterns of a clique cover: a system with no order bound
-    # satellite_cliques(4, 2): a central K4 and two satellite K4, each joined
-    # to it through two connector vertices of degree two
+    """The base patterns of a clique cover of satellite_cliques(4, 2), a
+    central K4 and two satellite K4 each joined to it through two connector
+    vertices: a system with no order bound."""
     cliques = [range(4), range(6, 10), range(12, 16),
                [0, 4], [4, 6], [1, 5], [5, 7], [2, 10], [10, 12], [3, 11], [11, 13]]
     S = CliqueCover(satellite_cliques(4, 2), cliques, 3).base_system()
@@ -216,19 +218,16 @@ def test_bitsets_match_the_element_loops_on_universes(seed):
     _assert_parity(S, tangles_of, seed)
 
 
-@pytest.mark.parametrize("seed", range(36))
-def test_abstract_families_match_the_subset_loops(seed):
-    S = random_distributive_universe(seed).system()
-    assert set(t_tilde_star(S).elements) == set(oracles.t_tilde_star(S).elements)
-    assert set(t_prime(S).elements) == set(oracles.t_prime(S).elements)
+ABSTRACT = ([("universe-%d" % seed, lambda seed=seed: random_distributive_universe(seed).system())
+             for seed in range(36)]
+            + [("universe-sub-%d" % seed, lambda seed=seed: _universe_subsystem(seed))
+               for seed in range(2)])
 
 
-@pytest.mark.parametrize("seed", range(2))
-def test_abstract_families_match_the_subset_loops_on_a_subsystem(seed):
-    S = _universe_subsystem(seed)
-    T = S.table()
-    assert any(T.join(i, j) is None for i in range(len(S)) for j in range(len(S)))
+@pytest.mark.parametrize("build", [b for _, b in ABSTRACT], ids=[n for n, _ in ABSTRACT])
+def test_abstract_families_match_the_subset_loops(build):
+    S = build()
     F = t_tilde_star(S)
     assert set(F.elements) == set(oracles.t_tilde_star(S).elements)
-    assert set(t_prime(S).elements) == set(oracles.t_prime(S).elements)
     assert any(len(el) > 1 for el in F.elements)
+    assert set(t_prime(S).elements) == set(oracles.t_prime(S).elements)
