@@ -492,7 +492,6 @@ def min_interior_exclusive_star(tau, sigma, tangles):
     if best_size is None:
         raise NotExclusiveAnywhere("tau admits no exclusive star")
     cands = [st for st in excl if len(interior(st, G)) == best_size]
-    # each member's closeness to tau is asked once, not once per candidate
     close = {s for s in frozenset().union(*cands) if closely_related(s, tau)[0]}
     cands.sort(key=lambda st: (-len(st & close), sorted(s.sort_key for s in st)))
     dom = [st for st in cands if star_leq(sigma, st)]

@@ -144,34 +144,25 @@ class OrientedSeparation:
 
         Both work on the masks and allocate no separation.  A result of
         order `bound` or more is rejected before the lookup, as in
-        `IndexTable.find`; the lookup dict, keyed by a << n | b, is built on
-        the first call.
+        `IndexTable.find`; the lookup dict is keyed by a << n | b.
         """
         n = members[0].graph.n
         A = [s.a for s in members]
         B = [s.b for s in members]
-        number = {}
+        number = {s.a << n | s.b: k for k, s in enumerate(members)}
         if bound is None:
             bound = n + 1                  # no separation has that order
 
-        def fill():
-            number.update((s.a << n | s.b, k) for k, s in enumerate(members))
+        def lookup(a, b):
+            if (a & b).bit_count() >= bound:
+                return None
+            return number.get(a << n | b)
 
         def join(i, j):
-            a, b = A[i] | A[j], B[i] & B[j]
-            if (a & b).bit_count() >= bound:
-                return None
-            if not number:
-                fill()
-            return number.get(a << n | b)
+            return lookup(A[i] | A[j], B[i] & B[j])
 
         def meet(i, j):
-            a, b = A[i] & A[j], B[i] | B[j]
-            if (a & b).bit_count() >= bound:
-                return None
-            if not number:
-                fill()
-            return number.get(a << n | b)
+            return lookup(A[i] & A[j], B[i] | B[j])
 
         return join, meet
 
