@@ -5,8 +5,8 @@ from itertools import combinations
 from .distinguish import DistinguisherTable
 from .graphs import mask_bits, min_vertex_cut_size, vertex_mask
 from .seps import canonical, from_masks
-from .tangles import (Orientation, SideMasks, check_star, covering_subset,
-                      distinguishes, interior)
+from .tangles import (SideMasks, check_star, covering_subset, distinguishes,
+                      interior)
 
 
 class Block:
@@ -101,22 +101,6 @@ def separable_star(b, G, k):
     if interior(star, G) != b:
         return None
     return star
-
-
-def block_orientation(b, S):
-    """Orient every member of S toward b; defined when b is never split."""
-    b = vertex_mask(b)
-    chosen = set()
-    for s in S.unoriented():
-        if s.is_degenerate:
-            chosen.add(s)
-        elif not b & ~s.b:
-            chosen.add(s)
-        elif not b & ~s.a:
-            chosen.add(s.inv)
-        else:
-            return None
-    return Orientation(S, chosen)
 
 
 def tangle_correspondence(U, tau, k):

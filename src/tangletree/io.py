@@ -152,8 +152,9 @@ def load_system(path, G):
 
 def _system(G, reps, k):
     """The system of G with the given canonical members and the file's k."""
-    return SeparationSystem(G, set(reps) | {s.inv for s in reps},
-                            k=None if k is None else int(k))
+    if k is not None and type(k) is not int:
+        raise ParseError("'k' must be an integer, got %r" % (k,))
+    return SeparationSystem(G, set(reps) | {s.inv for s in reps}, k=k)
 
 
 # ------------------------------------------------------------------ tangles
@@ -180,22 +181,15 @@ def load_tangles(path, G):
     S = _system(G, reps, obj.get("k"))
     out = []
     for sides in _list(obj, "tangles"):
-        if len(sides) != len(reps):
-            raise ParseError("tangle row length mismatch")
+        if not (_ints(sides) and len(sides) == len(reps) and set(sides) <= {0, 1}):
+            raise ParseError("a tangle row must list a side, 0 or 1, for each of the "
+                             "%d separations, got %r" % (len(reps), sides))
         chosen = {s if b == 0 else s.inv for s, b in zip(reps, sides)}
         out.append(Orientation(S, chosen))
     return out
 
 
 # --------------------------------------------------------------- star families
-
-
-def save_star_family(F, path, seed=None):
-    obj = _header("star-family", seed)
-    obj["tag"] = F.tag
-    obj["stars"] = sorted(
-        (sorted((_sep_out(s) for s in el)) for el in F.elements))
-    return _dump(obj, path)
 
 
 def load_star_family(path, G):
@@ -224,7 +218,7 @@ def save_nested_set(N, path, seed=None, annotations=None):
 def load_nested_set(path, S):
     obj = _load(path, "nested-set")
     G = S.ground
-    return NestedSet(S, [_sep_in(G, p) for p in obj["members"]])
+    return NestedSet(S, [_sep_in(G, p) for p in _list(obj, "members")])
 
 
 # ------------------------------------------------------- tree-decompositions
@@ -266,11 +260,11 @@ def load_tree_decomposition(path):
 
 
 def save_universe(U, path, seed=None):
-    """Table form; graph-backed universes are persisted via their tables too."""
+    """Table form, every element under its name."""
     elems = sorted(U, key=lambda x: x.sort_key)
-    names = {x: _uname(x) for x in elems}
+    names = {x: x.name for x in elems}
     obj = _header("universe", seed)
-    obj["backend"] = U.backend
+    obj["backend"] = "table-driven"
     obj["elements"] = [names[x] for x in elems]
     obj["leq"] = sorted([names[a], names[b]]
                         for a in elems for b in elems if a.leq(b) and a != b)
@@ -282,13 +276,6 @@ def save_universe(U, path, seed=None):
     if any(x.order for x in elems):
         obj["order"] = {names[x]: x.order for x in elems}
     return _dump(obj, path)
-
-
-def _uname(x):
-    name = getattr(x, "name", None)
-    if name is not None:
-        return str(name)
-    return repr(x)
 
 
 def load_universe(path):
@@ -325,12 +312,6 @@ def _rows(obj, key, width):
     return [tuple(row) for row in rows]
 
 
-def save_abstract_system(S, path, seed=None):
-    obj = _header("abstract-system", seed)
-    obj["members"] = sorted(_uname(x) for x in S)
-    return _dump(obj, path)
-
-
 def load_abstract_system(path, U):
     obj = _load(path, "abstract-system")
     try:
@@ -340,18 +321,14 @@ def load_abstract_system(path, U):
 
 
 def _elements(U, names):
-    """The elements of U with the given names; an unknown name is a ParseError."""
+    """The elements of U with the given names; a name that is not a string or
+    names no element is a ParseError."""
+    if not all(isinstance(name, str) for name in names):
+        raise ParseError("element names must be strings, got %r" % (names,))
     try:
         return [U.element(name) for name in names]
     except NotInSystem as e:
         raise ParseError(str(e))
-
-
-def save_abstract_star_family(F, path, seed=None):
-    obj = _header("abstract-star-family", seed)
-    obj["tag"] = F.tag
-    obj["stars"] = sorted(sorted(_uname(s) for s in el) for el in F.elements)
-    return _dump(obj, path)
 
 
 def load_abstract_star_family(path, U):
@@ -365,14 +342,13 @@ def load_abstract_star_family(path, U):
 
 def save_abstract_nested_set(N, path, seed=None):
     obj = _header("abstract-nested-set", seed)
-    obj["members"] = sorted(_uname(s) for s in N)
+    obj["members"] = sorted(s.name for s in N)
     return _dump(obj, path)
 
 
 def load_abstract_nested_set(path, S):
     obj = _load(path, "abstract-nested-set")
-    U = S.ground
-    return NestedSet(S, [U.element(name) for name in obj["members"]])
+    return NestedSet(S, _elements(S.ground, _list(obj, "members")))
 
 
 # ------------------------------------------------------------------- reports
@@ -422,7 +398,7 @@ def export_dot(obj):
             if ground is not None:
                 label = "{%s}" % ",".join(map(str, _vs(interior(st, ground))))
             else:
-                label = "{%s}" % ",".join(sorted(_uname(s) for s in st))
+                label = "{%s}" % ",".join(sorted(s.name for s in st))
             lines.append('  n%d [label="%s"];' % (i, _dot_label(label)))
         for (i, j) in obj.edges:
             lines.append('  n%d -- n%d [label="%d"];'

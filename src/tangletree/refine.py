@@ -1,42 +1,16 @@
-"""Refinement: shifting, inessential-star refinement, minimal interior
-exclusive stars, and the one refinement driver of Theorems 1.2 and 1.3."""
+"""Refinement: inessential-star refinement, minimal interior exclusive
+stars, and the one refinement driver of Theorems 1.2 and 1.3."""
 
 from itertools import combinations
 
-from .errors import (EmulationFailure, HypothesisFailure, NotExclusiveAnywhere,
-                     OutOfDomain, SearchExhausted, TooLarge, VerificationFailed)
+from .errors import (HypothesisFailure, NotExclusiveAnywhere, SearchExhausted,
+                     TooLarge, VerificationFailed)
 from .distinguish import DistinguisherTable
 from .graphs import mask_bits
-from .seps import from_masks, nested
+from .seps import from_masks
 from .tangles import (CoverFamily, check_star, closely_related, distinguishes,
                       f_tangles, interior, star_leq)
 from .trees import STree, NestedSet, TreeDecomposition, to_stree
-
-
-class ShiftContext:
-    """s emulates r: every x >= r in S has x v s in S; f(x) = x v s."""
-
-    def __init__(self, S, r, s):
-        if not r.leq(s):
-            raise HypothesisFailure("shift target must satisfy r <= s")
-        for x in S:
-            if r.leq(x) and x.join(s) not in S:
-                raise EmulationFailure("%r does not emulate %r (witness %r)" % (s, r, x))
-        self.S = S
-        self.r = r
-        self.s = s
-
-    def in_domain(self, x):
-        if x == self.r.inv:
-            return False
-        return self.r.leq(x) or self.r.leq(x.inv)
-
-    def shift(self, x):
-        if not self.in_domain(x):
-            raise OutOfDomain("%r not in the shift domain" % (x,))
-        if self.r.leq(x):
-            return x.join(self.s)
-        return x.inv.join(self.s).inv
 
 
 # ------------------------------------------------------- inessential stars
@@ -378,56 +352,6 @@ def refine_inessential(sigma, F, S, tangles):
     return tree
 
 
-# ---------------------------------------------------- closeness machinery
-
-
-def min_order_extension(s, P):
-    """Minimal-order s' in P with s <= s'; inherits closeness."""
-    ok, _ = closely_related(s, P)
-    if not ok:
-        raise HypothesisFailure("s is not closely related to P")
-    cands = [x for x in P if s.leq(x)]
-    s2 = min(cands, key=lambda x: (x.order, x.sort_key))
-    if not closely_related(s2, P)[0]:
-        raise VerificationFailed("minimal extension is not closely related")
-    for r in P:
-        if r.leq(s.inv):
-            if r.meet(s2.inv) not in P.system:
-                raise VerificationFailed(
-                    "r ^ s2.inv left the system for r=%r" % (r,))
-    return s2
-
-
-def nested_replacement(r, sigma, P):
-    """r' in P of order <= |r|, nested with sigma.
-
-    Corner descent: replace r' by r' ^ t.inv for a crossing t in sigma while
-    that lowers the crossing count.
-    """
-    if r not in P:
-        raise HypothesisFailure("r must lie in P")
-    sigma = check_star(sigma)
-    cur = r
-    while True:
-        crossing = sorted((t for t in sigma if not nested(cur, t)),
-                          key=lambda t: t.sort_key)
-        if not crossing:
-            break
-        progressed = False
-        for t in crossing:
-            cand = cur.meet(t.inv)
-            if cand not in P.system or cand not in P or cand.order > r.order:
-                continue
-            after = sum(1 for x in sigma if not nested(cand, x))
-            if after < len(crossing):
-                cur = cand
-                progressed = True
-                break
-        if not progressed:
-            raise HypothesisFailure("corner descent is stuck at %r" % (cur,))
-    return cur
-
-
 # ------------------------------------------------ minimal-interior stars
 
 
@@ -499,17 +423,6 @@ def min_interior_exclusive_star(tau, sigma, tangles):
         raise VerificationFailed(
             "no minimal-interior exclusive star dominates sigma")
     return dom[0]
-
-
-def closeness_repair(rho, pivot, tau):
-    """sigma'' := {(A,B)} u {(C n B, D u A)}: the repair star for pivot (A,B)."""
-    out = {pivot}
-    for other in rho:
-        if other != pivot:
-            out.add(other.meet(pivot.inv))
-    out = frozenset(out)
-    check_star(out)
-    return out
 
 
 # ------------------------------------------------------------- pipeline

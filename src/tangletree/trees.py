@@ -252,36 +252,3 @@ def to_tree_decomposition(N, G):
     if got != set(N.members):
         raise VerificationFailed("round trip failed: induced separations differ")
     return td
-
-
-def validate_td(G, k, TD, tangles):
-    """Report on validity, adhesion, essential parts, distinguishing edges."""
-    ok, witness = TD.is_valid()
-    report = {"valid": ok, "witness": witness, "adhesion": None,
-              "parts": [], "edges": {}, "distinguishes_all": None}
-    if not ok:
-        return report
-    induced = TD.induced_separations()
-    report["adhesion"] = max((s.order for s in induced.values()), default=0)
-    from .distinguish import DistinguisherTable
-    from .tangles import distinguishes
-    table = DistinguisherTable.of(tangles)
-    ts = table.tangles
-    for t in range(len(TD.bags)):
-        star = TD.node_star(t)
-        owners = [i for i, P in enumerate(ts)
-                  if all(s in P.system and s in P for s in star)]
-        report["parts"].append({"bag": sorted(TD.bags[t]), "owners": owners,
-                                "essential": bool(owners)})
-    distinguished = set()
-    for (i, j), sep in sorted(induced.items()):
-        eff_for = []
-        for (a, b) in table.pairs():
-            if sep in ts[a].system and distinguishes(sep, ts[a], ts[b]):
-                distinguished.add((a, b))
-                if sep.order == table[(a, b)]["min_order"]:
-                    eff_for.append((a, b))
-        report["edges"][(i, j)] = {"order": sep.order, "efficient_for": eff_for}
-    report["distinguishes_all"] = distinguished == set(table.pairs())
-    return report
-

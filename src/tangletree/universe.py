@@ -1,5 +1,5 @@
 """Finite universes of separations and the abstract refinement pipeline:
-table-driven and graph-backed lattices, narrow and near-maximal stars,
+table-driven lattices and their check, narrow and near-maximal stars,
 unscrambling, and Theorem 1.3 with its essential step by maximal stars."""
 
 import random
@@ -11,14 +11,12 @@ from .errors import (HypothesisFailure, NonDistributive, NotInSystem,
                      VerificationFailed)
 from .graphs import mask_bits
 from .refine import _premise, _refine, enumerate_stars, proper_members
-from .seps import SeparationSystem, enumerate_separations, nested
+from .seps import SeparationSystem, nested
 from .tangles import (StarFamily, check_star, check_star_family,
                       closely_related, f_tangles, is_good, is_star,
                       regular_profiles, star_leq)
 from .trees import NestedSet, nodes
 
-# vertex cap of the graph-backed universes: of_graph and bipartitions
-UNIVERSE_CAP = 8
 # proper members of a profile beyond which its stars are not enumerated
 STAR_CAP = 20
 
@@ -146,29 +144,22 @@ def _positions(U, members):
 
 
 class Universe:
-    """A finite set of elements closed under involution, meet and join."""
-
-    def __init__(self, elements, backend):
-        self.backend = backend
-        self._elements = sorted(elements, key=lambda x: x.sort_key)
-        self._set = frozenset(self._elements)
-        self._report = None
+    """A finite set of elements closed under involution, meet and join, given
+    by its tables; `from_tables` builds one."""
 
     @classmethod
     def from_tables(cls, ids, leq, inv, meet, join, order=None):
         """Table-driven universe; validates totality of all tables on load.
 
         Element i keeps its up-set as the int `_up[i]` (bit j set when
-        i <= j); `_join` and `_meet` are n x n lists of elements.
+        i <= j); `_join` and `_meet` are n x n lists of elements.  Every
+        entry names an element, so the universe is closed by construction.
         """
         self = cls.__new__(cls)
-        self.backend = "table-driven"
         self.ids = list(ids)
         if len(set(self.ids)) != len(self.ids):
             raise ParseError("duplicate element ids")
-        index = {}
-        for i, v in enumerate(self.ids):
-            index[v] = i
+        self._index = index = {v: i for i, v in enumerate(self.ids)}
         n = len(self.ids)
 
         def look(v):
@@ -199,25 +190,8 @@ class Universe:
         self._meet = [[elems[k] for k in row] for row in meet]
         self._join = [[elems[k] for k in row] for row in join]
         self._elements = sorted(elems, key=lambda x: x.sort_key)
-        self._set = frozenset(self._elements)
         self._report = None
         return self
-
-    @classmethod
-    def of_graph(cls, G):
-        """All oriented separations of G, of every order."""
-        if G.n > UNIVERSE_CAP:
-            raise TooLarge("|V|=%d exceeds the universe cap %d" % (G.n, UNIVERSE_CAP))
-        S = enumerate_separations(G, G.n + 1)
-        return cls(S.oriented, "graph-separations")
-
-    @classmethod
-    def bipartitions(cls, ground_size):
-        """All pairs (A,B) with A u B the ground set, ordered by |A n B|."""
-        from .graphs import Graph
-        u = cls.of_graph(Graph(ground_size, []))
-        u.backend = "set-bipartitions-with-order-function"
-        return u
 
     def __iter__(self):
         return iter(self._elements)
@@ -226,13 +200,13 @@ class Universe:
         return len(self._elements)
 
     def __contains__(self, x):
-        return x in self._set
+        return isinstance(x, UniverseElement) and x.universe is self
 
     def element(self, name):
-        for x in self._elements:
-            if getattr(x, "name", None) == name:
-                return x
-        raise NotInSystem("no element named %r" % (name,))
+        i = self._index.get(name)
+        if i is None:
+            raise NotInSystem("no element named %r" % (name,))
+        return self._elems[i]
 
     def system(self, members=None):
         return AbstractSystem(self, self._elements if members is None else members)
@@ -247,7 +221,7 @@ class Universe:
         return self.report()["distributive"]
 
     def __repr__(self):
-        return "Universe(%s, %d elements)" % (self.backend, len(self._elements))
+        return "Universe(%d elements)" % len(self._elements)
 
 
 def _total_table(tab, look, n, what):
@@ -284,13 +258,17 @@ class AbstractSystem(SeparationSystem):
 def check_universe(U):
     """Exhaustive lattice / involution / distributivity report with witnesses.
 
-    The elements are indexed in canonical order and tabulated once, with
-    n^2 calls of leq, join and meet; every axiom then runs on the integer
-    tables, O(n^3), in the same order for every backend.
+    Reads the universe's own tables, renumbered in `sort_key` order, and
+    runs every axiom on those integer tables, O(n^3), with no element call.
     """
-    elems = sorted(U, key=lambda x: x.sort_key)
+    elems = U._elements
     n = len(elems)
-    inv, leq, join, meet = _tabulate(elems)
+    ids = [x.i for x in elems]
+    pos = _positions(U, elems)
+    inv = [pos[U._inv[i]] for i in ids]
+    leq = [[U._up[i] >> j & 1 == 1 for j in ids] for i in ids]
+    join = [[pos[U._join[i][j].i] for j in ids] for i in ids]
+    meet = [[pos[U._meet[i][j].i] for j in ids] for i in ids]
     report = {"lattice": True, "involution_order_reversing": True,
               "distributive": True, "witnesses": {}}
 
@@ -311,9 +289,6 @@ def check_universe(U):
     for r in range(n):
         for s in range(n):
             j, m = join[r][s], meet[r][s]
-            if j >= n or m >= n:
-                flag("lattice", "not-closed", r, s)
-                continue
             if not (leq[r][j] and leq[s][j] and leq[m][r] and leq[m][s]):
                 flag("lattice", "not-a-bound", r, s)
             if leq[r][s] and not leq[inv[s]][inv[r]]:
@@ -338,54 +313,6 @@ def check_universe(U):
                 if join_r[meet_s[t]] != meet_rjs[join_r[t]]:
                     flag("distributive", "join-over-meet", r, s, t)
     return report
-
-
-class _Lazy(dict):
-    """Index-keyed table that computes a missing entry with `fill`."""
-
-    def __init__(self, fill, entries=()):
-        super().__init__(entries)
-        self.fill = fill
-
-    def __missing__(self, i):
-        self[i] = v = self.fill(i)
-        return v
-
-
-def _tabulate(elems):
-    """inv, leq, join and meet over `elems` as tables indexed by position.
-
-    An operation's result that is not in `elems` gets the next free index.
-    When none appears the tables are lists; otherwise they are `_Lazy`
-    tables that fill the rows and columns of those outside elements by
-    element calls when the checks first read them.
-    """
-    seen = list(elems)
-    index = {x: i for i, x in enumerate(seen)}
-
-    def intern(x):
-        i = index.get(x)
-        if i is None:
-            i = index[x] = len(seen)
-            seen.append(x)
-        return i
-
-    inv = [intern(x.inv) for x in elems]
-    leq = [[x.leq(y) for y in elems] for x in elems]
-    join = [[intern(x.join(y)) for y in elems] for x in elems]
-    meet = [[intern(x.meet(y)) for y in elems] for x in elems]
-    if len(seen) == len(elems):
-        return inv, leq, join, meet
-
-    def lazy(rows, op):
-        def row(i, known=()):
-            return _Lazy(lambda j: op(seen[i], seen[j]), enumerate(known))
-        return _Lazy(row, ((i, row(i, known)) for i, known in enumerate(rows)))
-
-    return (_Lazy(lambda i: intern(seen[i].inv), enumerate(inv)),
-            lazy(leq, lambda x, y: x.leq(y)),
-            lazy(join, lambda x, y: intern(x.join(y))),
-            lazy(meet, lambda x, y: intern(x.meet(y))))
 
 
 def require_lattice(U):
@@ -683,17 +610,6 @@ def is_maximal_star(st, P):
     return True, None
 
 
-def max_and_closely_related_report(P):
-    """Whether some maximal star in P is closely related to P (recorded data)."""
-    stars = list(_profile_stars(P))
-    for st in sorted(stars, key=lambda st: (-len(st), sorted(s.sort_key for s in st))):
-        if any(star_leq(st, tau) and not star_leq(tau, st) for tau in stars):
-            continue
-        if all(closely_related(s, P)[0] for s in st):
-            return {"exists": True, "witness": st}
-    return {"exists": False, "witness": None}
-
-
 # ------------------------------------------------------- essential refinement
 
 
@@ -764,9 +680,7 @@ def theorem_1_3(S, F, N_tilde, tangles=None):
 
     The essential step is `_maximal_step`.  Returns N.
     """
-    probe = next(iter(S), None)
-    if (isinstance(probe, UniverseElement)
-            and not require_lattice(probe.universe)["distributive"]):
+    if isinstance(S.ground, Universe) and not require_lattice(S.ground)["distributive"]:
         raise NonDistributive("the refinement theorem needs a distributive universe")
     ts = list(f_tangles(S, F) if tangles is None else tangles)
     _premise(N_tilde, ts, lambda s: is_good(s, ts)[0])
@@ -828,30 +742,3 @@ def _subset_universe(sets, full):
     meet = {(names[X], names[Y]): names[X & Y] for X in sets for Y in sets}
     join = {(names[X], names[Y]): names[X | Y] for X in sets for Y in sets}
     return Universe.from_tables([names[X] for X in sets], leq, inv, meet, join)
-
-
-def m3_universe():
-    """Non-distributive five-element diamond with an order-reversing involution.
-
-    Three incomparable self-inverse midpoints between a bottom and a top that
-    swap under the involution; used for recorded (not asserted) experiments.
-    """
-    ids = ["bot", "a", "b", "c", "top"]
-    leq = [("bot", x) for x in ids] + [(x, "top") for x in ids]
-    inv = {"bot": "top", "top": "bot", "a": "a", "b": "b", "c": "c"}
-    meet, join = {}, {}
-    for x in ids:
-        for y in ids:
-            if x == y:
-                meet[(x, y)] = x
-                join[(x, y)] = x
-            elif x == "bot" or y == "bot":
-                meet[(x, y)] = "bot"
-                join[(x, y)] = y if x == "bot" else x
-            elif x == "top" or y == "top":
-                meet[(x, y)] = y if x == "top" else x
-                join[(x, y)] = "top"
-            else:  # two distinct midpoints
-                meet[(x, y)] = "bot"
-                join[(x, y)] = "top"
-    return Universe.from_tables(ids, leq, inv, meet, join)

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
-from tangletree.blocks import (Block, block_orientation, inseparable, k_blocks,
-                               separable_star, tangle_correspondence,
-                               verify_theorem_4_8)
+from lemmas import block_orientation
+from tangletree.blocks import (Block, inseparable, k_blocks, separable_star,
+                               tangle_correspondence, verify_theorem_4_8)
 from tangletree.distinguish import build_efficient_nested_set
 from tangletree.examples import bridged_cliques
 from tangletree.graphs import complete_graph, path_graph

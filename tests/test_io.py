@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from lemmas import (save_abstract_star_family, save_abstract_system,
+                    save_star_family)
 from oracles import elements_over
 from tangletree import cli
 from tangletree.distinguish import build_efficient_nested_set
@@ -14,11 +16,9 @@ from tangletree.io import (export_dot, load_abstract_nested_set,
                            load_abstract_star_family, load_abstract_system,
                            load_graph, load_nested_set, load_star_family,
                            load_system, load_tangles, load_tree_decomposition,
-                           load_universe, save_abstract_nested_set,
-                           save_abstract_star_family, save_abstract_system,
-                           save_graph, save_nested_set, save_report,
-                           save_star_family, save_system, save_tangles,
-                           save_tree_decomposition, save_universe)
+                           load_universe, save_abstract_nested_set, save_graph,
+                           save_nested_set, save_report, save_system,
+                           save_tangles, save_tree_decomposition, save_universe)
 from tangletree.seps import enumerate_separations, separation
 from tangletree.tangles import CoverFamily, f_tangles
 from tangletree.trees import NestedSet, to_stree, to_tree_decomposition
@@ -173,6 +173,61 @@ def test_abstract_round_trips(tmp_path):
     save_abstract_nested_set(N, p)
     N2 = load_abstract_nested_set(p, S)
     assert N2.members == N.members
+
+
+def _write(path, obj):
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def test_nested_set_without_members_is_a_parse_error(tmp_path, twin):
+    G, S, ts = twin
+    p = _write(tmp_path / "n.json", {"format": "nested-set", "n": G.n, "k": 3})
+    with pytest.raises(ParseError, match="members"):
+        load_nested_set(p, S)
+
+
+def test_abstract_nested_set_without_members_is_a_parse_error(tmp_path):
+    S = random_distributive_universe(1).system()
+    p = _write(tmp_path / "n.json", {"format": "abstract-nested-set"})
+    with pytest.raises(ParseError, match="members"):
+        load_abstract_nested_set(p, S)
+
+
+def test_abstract_nested_set_with_an_unknown_name_is_a_parse_error(tmp_path):
+    S = random_distributive_universe(1).system()
+    for members in (["nope"], [["e00"]]):
+        p = _write(tmp_path / "n.json", {"format": "abstract-nested-set",
+                                         "members": members})
+        with pytest.raises(ParseError):
+            load_abstract_nested_set(p, S)
+
+
+def test_tangle_row_that_is_not_a_list_is_a_parse_error(tmp_path, twin):
+    G, S, ts = twin
+    p = tmp_path / "t.json"
+    obj = json.loads(save_tangles(ts, p))
+    obj["tangles"][0] = 0
+    with pytest.raises(ParseError, match="tangle row"):
+        load_tangles(_write(p, obj), G)
+
+
+def test_tangle_side_other_than_0_or_1_is_a_parse_error(tmp_path, twin):
+    G, S, ts = twin
+    p = tmp_path / "t.json"
+    obj = json.loads(save_tangles(ts, p))
+    obj["tangles"][0][0] = 7
+    with pytest.raises(ParseError, match="tangle row"):
+        load_tangles(_write(p, obj), G)
+
+
+def test_system_k_that_is_not_an_integer_is_a_parse_error(tmp_path, twin):
+    G, S, ts = twin
+    p = tmp_path / "s.json"
+    obj = json.loads(save_system(S, p))
+    obj["k"] = "x"
+    with pytest.raises(ParseError, match="'k'"):
+        load_system(_write(p, obj), G)
 
 
 def test_report_reducer(tmp_path):

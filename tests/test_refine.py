@@ -5,15 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
+from lemmas import (ShiftContext, closeness_repair, min_order_extension,
+                    nested_replacement)
 from tangletree.distinguish import build_efficient_nested_set
 from tangletree.errors import HypothesisFailure, OutOfDomain
 from tangletree.examples import bridged_cliques
 from tangletree.graphs import complete_graph, path_graph
-from tangletree.refine import (ShiftContext, enumerate_stars,
-                               min_interior_exclusive_star,
-                               min_order_extension, nested_replacement,
-                               proper_members, refine_inessential,
-                               closeness_repair, exclusive_stars, theorem_1_2)
+from tangletree.refine import (enumerate_stars, exclusive_stars,
+                               min_interior_exclusive_star, proper_members,
+                               refine_inessential, theorem_1_2)
 from tangletree.seps import enumerate_separations, separation
 from tangletree.tangles import (CoverFamily, f_tangles, interior, is_star,
                                 star_leq)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import random_graph
 from oracles import nodes_by_orientation
+from tangletree.blocks import verify_theorem_4_8
 from tangletree.distinguish import build_efficient_nested_set
 from tangletree.errors import Irregular, NotNested
 from tangletree.examples import bridged_cliques
@@ -13,8 +14,7 @@ from tangletree.graphs import path_graph
 from tangletree.seps import canonical, enumerate_separations, nested, separation
 from tangletree.tangles import CoverFamily, f_tangles
 from tangletree.trees import (NestedSet, TreeDecomposition, check_regular,
-                              nodes, to_stree,
-                              to_tree_decomposition, validate_td)
+                              nodes, to_stree, to_tree_decomposition)
 
 
 def _random_nested_set(seed, k=3):
@@ -108,8 +108,7 @@ def test_tree_decomposition_from_nested_set():
     ok, w = TD.is_valid()
     assert ok, w
     assert TD.adhesion() == 1
-    rep = validate_td(G, 3, TD, ts)
-    assert rep["valid"] and rep["distinguishes_all"]
+    assert verify_theorem_4_8(G, 3, TD, ts)["efficient"]
 
 
 def test_td_validity_witnesses():

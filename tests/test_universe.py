@@ -9,20 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from itertools import combinations
 
+from lemmas import m3_universe, max_and_closely_related_report
 from oracles import check_universe_elementwise, elements_over
 from tangletree.distinguish import build_efficient_nested_set
 from tangletree.errors import (HypothesisFailure, NonDistributive, NotInSystem,
                                ParseError)
 from tangletree.examples import bridged_cliques
+from tangletree.graphs import Graph
 from tangletree.seps import enumerate_separations, nested
 from tangletree.tangles import (CoverFamily, Orientation, StarFamily,
                                 closely_related, f_tangles, is_profile,
                                 star_leq)
 from tangletree.trees import NestedSet, nodes
-from tangletree.universe import (Universe, check_universe, m3_universe,
+from tangletree.universe import (Universe, UniverseElement, check_universe,
                                  maximal_star_above, is_maximal_star,
-                                 max_and_closely_related_report, near_max_star,
-                                 profile_nested_part,
+                                 near_max_star, profile_nested_part,
                                  random_distributive_universe,
                                  refine_essential_abstract, star_profile_status,
                                  t_prime, t_tilde_star, theorem_1_3,
@@ -67,27 +68,40 @@ def test_from_tables_validation():
         Universe.from_tables(["a"], [], {"a": "a"}, {}, {("a", "a"): "a"})
 
 
+def _tables(elems, name=lambda x: x.name):
+    """The name-keyed tables of elems, which are closed under inv, join and
+    meet, as Universe.from_tables takes them."""
+    elems = sorted(elems, key=lambda x: x.sort_key)
+    leq = [(name(a), name(b)) for a in elems for b in elems if a.leq(b) and a != b]
+    inv = {name(a): name(a.inv) for a in elems}
+    meet = {(name(a), name(b)): name(a.meet(b)) for a in elems for b in elems}
+    join = {(name(a), name(b)): name(a.join(b)) for a in elems for b in elems}
+    return [name(a) for a in elems], leq, inv, meet, join
+
+
+def _separation_universe(G):
+    """The separations of G of every order as a table universe: the i-th in
+    sort_key order is named "sNNN" and keeps its order, so the universe lists
+    them in the same order."""
+    elems = sorted(enumerate_separations(G, G.n + 1).oriented, key=lambda s: s.sort_key)
+    names = {s: "s%03d" % i for i, s in enumerate(elems)}
+    return Universe.from_tables(*_tables(elems, names.get),
+                                order={names[s]: s.order for s in elems})
+
+
 def test_bipartition_universe():
-    u = Universe.bipartitions(3)
-    rep = check_universe(u)
+    # the bipartitions of a 3-set: the separations of the edgeless graph
+    rep = check_universe(_separation_universe(Graph(3, [])))
     assert rep["lattice"] and rep["distributive"]
 
 
 def test_graph_universe_matches_separations():
     G = bridged_cliques(2)
-    u = Universe.of_graph(G)
     S = enumerate_separations(G, G.n + 1)
-    assert set(u) == set(S.oriented)
-
-
-def _tables(u):
-    """The name-keyed tables of u, as Universe.from_tables takes them."""
-    elems = sorted(u, key=lambda x: x.sort_key)
-    leq = [(a.name, b.name) for a in elems for b in elems if a.leq(b) and a != b]
-    inv = {a.name: a.inv.name for a in elems}
-    meet = {(a.name, b.name): a.meet(b).name for a in elems for b in elems}
-    join = {(a.name, b.name): a.join(b).name for a in elems for b in elems}
-    return [a.name for a in elems], leq, inv, meet, join
+    u = _separation_universe(G)
+    assert [x.order for x in u] == sorted(s.order for s in S.oriented)
+    rep = check_universe(u)
+    assert rep["lattice"] and rep["involution_order_reversing"] and rep["distributive"]
 
 
 @settings(max_examples=30, deadline=None)
@@ -110,13 +124,23 @@ def test_check_universe_matches_elementwise_oracle(seed, table, rng_seed, edits)
     assert check_universe(u) == check_universe_elementwise(u)
 
 
-def test_check_universe_matches_oracle_on_other_backends():
-    G = bridged_cliques(2)
-    # separations of order < 2 only: joins and meets leave the set
-    unclosed = Universe(enumerate_separations(G, 2).oriented, "graph-separations")
-    for u in (m3_universe(), Universe.bipartitions(3), Universe.of_graph(G), unclosed):
+def test_check_universe_matches_oracle_on_m3_and_graph_tables():
+    for u in (m3_universe(), _separation_universe(Graph(3, [])),
+              _separation_universe(bridged_cliques(2))):
         assert check_universe(u) == check_universe_elementwise(u)
-    assert "not-closed" in check_universe(unclosed)["witnesses"]
+
+
+def test_check_universe_reads_the_tables(monkeypatch):
+    universes = [m3_universe(), random_distributive_universe(5)]
+
+    def forbidden(self, other):
+        raise AssertionError("check_universe made an element call")
+
+    for op in ("leq", "join", "meet"):
+        monkeypatch.setattr(UniverseElement, op, forbidden)
+    reports = [check_universe(u) for u in universes]
+    monkeypatch.undo()
+    assert reports == [check_universe_elementwise(u) for u in universes]
 
 
 def test_table_elements_are_interned():
