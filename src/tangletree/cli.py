@@ -209,6 +209,7 @@ def _parser():
     return p
 
 
+_PARSER = _parser()          # built once; parse_args leaves it unchanged
 _HANDLERS = {
     "tangles": cmd_tangles,
     "tot": cmd_tot,
@@ -221,7 +222,7 @@ _HANDLERS = {
 
 
 def run(argv=None):
-    args = _parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if getattr(args, "max_vertices", 1) <= 0 or getattr(args, "max_system", 1) <= 0:
             raise ParseError("caps must be positive")

@@ -22,7 +22,7 @@ exhaustive enumeration.
 from itertools import combinations
 
 from .errors import NotACover, TooLarge, VerificationFailed
-from .graphs import vertex_mask
+from .graphs import mask_bits, vertex_mask
 from .seps import SeparationSystem, canonical, from_masks
 from .tangles import _backtrack_orientations, same_separation
 
@@ -175,12 +175,13 @@ class CliqueCover:
             raise TooLarge("three small sides could cover all %d vertices" % self.G.n)
         members = S.table().members
 
-        def prune(chosen, bits, y):
-            return any(self._padded_inconsistent(members[y], c) for c in chosen)
+        def prune(bits, y):
+            return any(self._padded_inconsistent(members[y], members[c])
+                       for c in mask_bits(bits))
 
-        return [BaseTangle(self, chosen)
-                for chosen in _backtrack_orientations(S, prune)
-                if not self.cover_triple(chosen)]
+        found = ([members[i] for i in mask_bits(bits)]
+                 for bits in _backtrack_orientations(S, prune))
+        return [BaseTangle(self, base) for base in found if not self.cover_triple(base)]
 
     def cover_triple(self, members):
         """A covering set of at most three members drawn from the padded

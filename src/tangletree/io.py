@@ -11,7 +11,7 @@ import json
 from .errors import CrossingEdge, NotACover, NotInSystem, ParseError
 from .graphs import Graph
 from .seps import SeparationSystem, separation
-from .tangles import Orientation, StarFamily
+from .tangles import Orientation, StarFamily, is_consistent
 from .trees import NestedSet, TreeDecomposition
 
 
@@ -179,13 +179,16 @@ def load_tangles(path, G):
     obj = _load(path, "tangle-set")
     reps = [_sep_in(G, p) for p in _list(obj, "separations")]
     S = _system(G, reps, obj.get("k"))
+    T = S.table()
     out = []
     for sides in _list(obj, "tangles"):
         if not (_ints(sides) and len(sides) == len(reps) and set(sides) <= {0, 1}):
             raise ParseError("a tangle row must list a side, 0 or 1, for each of the "
                              "%d separations, got %r" % (len(reps), sides))
-        chosen = {s if b == 0 else s.inv for s, b in zip(reps, sides)}
-        out.append(Orientation(S, chosen))
+        O = Orientation(S, T.bits(s if b == 0 else s.inv for s, b in zip(reps, sides)))
+        if not is_consistent(O)[0]:
+            raise ParseError("the tangle row %r is not consistent" % (sides,))
+        out.append(O)
     return out
 
 
@@ -217,8 +220,15 @@ def save_nested_set(N, path, seed=None, annotations=None):
 
 def load_nested_set(path, S):
     obj = _load(path, "nested-set")
-    G = S.ground
-    return NestedSet(S, [_sep_in(G, p) for p in _list(obj, "members")])
+    return _nested_set(S, [_sep_in(S.ground, p) for p in _list(obj, "members")])
+
+
+def _nested_set(S, members):
+    """The nested set of the given members; one outside S is a ParseError."""
+    outside = [s for s in members if s not in S]
+    if outside:
+        raise ParseError("members %r are not in the system" % (outside,))
+    return NestedSet(S, members)
 
 
 # ------------------------------------------------------- tree-decompositions
@@ -348,7 +358,7 @@ def save_abstract_nested_set(N, path, seed=None):
 
 def load_abstract_nested_set(path, S):
     obj = _load(path, "abstract-nested-set")
-    return NestedSet(S, _elements(S.ground, _list(obj, "members")))
+    return _nested_set(S, _elements(S.ground, _list(obj, "members")))
 
 
 # ------------------------------------------------------------------- reports

@@ -355,33 +355,15 @@ def refine_inessential(sigma, F, S, tangles):
 # ------------------------------------------------ minimal-interior stars
 
 
-def proper_members(O):
-    return [s for s in O
-            if not s.is_small and not s.is_cosmall and not s.is_degenerate]
-
-
-def enumerate_stars(members):
-    """All stars over the given oriented separations (including the empty one)."""
-    members = sorted(set(members), key=lambda s: s.sort_key)
-
-    def rec(i, cur):
-        yield frozenset(cur)
-        for j in range(i, len(members)):
-            m = members[j]
-            if all(x.leq(m.inv) for x in cur):
-                cur.append(m)
-                yield from rec(j + 1, cur)
-                cur.pop()
-
-    yield from rec(0, [])
-
-
 def exclusive_stars(tau, tangles):
-    """All exclusive stars of proper members of tau; yields (star, owners)."""
-    others = [Q for Q in tangles if Q != tau]
-    for st in enumerate_stars(proper_members(tau)):
-        owners = 1 + sum(1 for Q in others if all(s in Q for s in st))
-        yield st, owners
+    """All stars of proper members of tau, listed by the table's `stars`,
+    each with the number of the given tangles that contain it; yields
+    (star, owners)."""
+    T = tau.system.table()
+    others = [Q.bits for Q in tangles if Q != tau]
+    for st in T.stars(tau.bits & T.proper):
+        yield (frozenset(T.members[i] for i in mask_bits(st)),
+               1 + sum(1 for q in others if not st & ~q))
 
 
 def min_interior_exclusive_star(tau, sigma, tangles):
@@ -404,18 +386,12 @@ def min_interior_exclusive_star(tau, sigma, tangles):
             raise HypothesisFailure(
                 "%r does not efficiently distinguish any pair" % (s,))
 
-    best_size = None
-    excl = []
-    for st, owners in exclusive_stars(tau, ts):
-        if owners != 1:
-            continue
-        excl.append(st)
-        size = len(interior(st, G))
-        if best_size is None or size < best_size:
-            best_size = size
-    if best_size is None:
+    excl = [(len(interior(st, G)), st)
+            for st, owners in exclusive_stars(tau, ts) if owners == 1]
+    if not excl:
         raise NotExclusiveAnywhere("tau admits no exclusive star")
-    cands = [st for st in excl if len(interior(st, G)) == best_size]
+    best = min(size for size, _ in excl)
+    cands = [st for size, st in excl if size == best]
     close = {s for s in frozenset().union(*cands) if closely_related(s, tau)[0]}
     cands.sort(key=lambda st: (-len(st & close), sorted(s.sort_key for s in st)))
     dom = [st for st in cands if star_leq(sigma, st)]

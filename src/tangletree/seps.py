@@ -235,7 +235,9 @@ class IndexTable:
     down[i] when member j <= member i, of upinv[i] when i <= inv j.
     incons[y] holds the x with x* <= y or y* <= x, other than y and y*: the
     members that no consistent orientation holds together with y.  reps
-    lists the canonical representatives, one per unoriented member.
+    lists the canonical representatives, one per unoriented member.  small
+    holds the i with i <= i*, proper the i for which neither i nor i* is
+    small.
 
     join(i, j) and meet(i, j) are the numbers of members[i].join(members[j])
     and members[i].meet(members[j]), or None when those are not members;
@@ -243,7 +245,7 @@ class IndexTable:
     """
 
     __slots__ = ("members", "index", "inv", "up", "down", "upinv", "incons",
-                 "reps", "join", "meet", "_bound")
+                 "reps", "small", "proper", "join", "meet", "_bound")
 
     def __init__(self, oriented, bound):
         self.members = members = sorted(oriented, key=lambda s: s.sort_key)
@@ -260,6 +262,9 @@ class IndexTable:
         self.incons = [(downinv[y] | up[t]) & ~(1 << y | 1 << t)
                        for y, t in enumerate(inv)]
         self.reps = [i for i, t in enumerate(inv) if i <= t]
+        self.small = small = sum(1 << i for i, t in enumerate(inv) if up[i] >> t & 1)
+        self.proper = sum(1 << i for i, t in enumerate(inv)
+                          if not (small >> i | small >> t) & 1)
 
     def find(self, s):
         """The number of s, or None when s is not a member."""
@@ -282,6 +287,26 @@ class IndexTable:
             if self.inv[x] == x or ids & ~self.upinv[x] & ~(1 << x):
                 return False
         return True
+
+    def stars(self, ids):
+        """The stars over the proper members ids, as bitsets, depth first:
+        each star, then its extensions by members after its last, added in
+        table order.  A member may join when it lies in the `upinv` of every
+        member already in the star."""
+        upinv = self.upinv
+
+        def rec(star, cands):
+            yield star
+            for j in mask_bits(cands):
+                yield from rec(star | 1 << j, cands & upinv[j] >> j + 1 << j + 1)
+
+        return rec(0, ids)
+
+    def star_leq(self, sigma, tau):
+        """The star order on bitsets: every member of sigma lies below some
+        member of tau."""
+        up = self.up
+        return all(up[s] & tau for s in mask_bits(sigma))
 
     def trivial_witness(self, i):
         """The first r other than i and i* with i <= r and i <= r*, or None."""

@@ -2,7 +2,7 @@
 
 The search, the consistency and profile certificates and the profile family
 read the system's `IndexTable` (see `seps`): members are numbered in
-`sort_key` order, an orientation is also a bitset over those numbers, and a
+`sort_key` order, an orientation is its bitset over those numbers, and a
 consistency test is one AND with a precomputed bitset instead of a loop of
 `leq` calls over pairs of members.
 """
@@ -11,7 +11,6 @@ from itertools import combinations
 
 from .errors import Indistinct, NotAStar, NotInProfile, VerificationFailed
 from .graphs import mask_bits, mask_vertices, vertex_mask
-from .seps import canonical
 
 
 def same_separation(x, y):
@@ -50,51 +49,43 @@ def star_leq(sigma, tau):
 
 
 class Orientation:
-    """One orientation per unoriented member of a system; `bits` is its
-    bitset over the system's `IndexTable`, and iteration follows the
-    table's order."""
+    """One orientation per unoriented member of a system, held as its bitset
+    `bits` over the system's `IndexTable`; iteration follows the table's
+    order."""
 
-    __slots__ = ("system", "chosen", "bits", "_sorted", "_hash")
+    __slots__ = ("system", "bits")
 
-    def __init__(self, system, chosen):
-        chosen = frozenset(chosen)
+    def __init__(self, system, bits):
         T = system.table()
-        bits = 0
-        for s in chosen:
-            i = T.index.get(s)
-            if i is None:
-                raise ValueError("orientation does not cover the system exactly")
-            bits |= 1 << i
-        for i in T.reps:
-            if not (bits >> i & 1 or bits >> T.inv[i] & 1):
-                raise ValueError("orientation does not cover the system exactly")
-        for s in chosen:
-            if s.inv in chosen and not s.is_degenerate:
-                raise ValueError("both orientations of %r chosen" % (s,))
+        # covering the pair of every representative (a degenerate one is its
+        # own pair) with len(reps) bits leaves no room for a second side
+        # or for a bit outside the table
+        if bits < 0 or bits.bit_count() != len(T.reps) or any(
+                not (bits >> i & 1 or bits >> T.inv[i] & 1) for i in T.reps):
+            raise ValueError("orientation does not choose one side of each member")
         self.system = system
-        self.chosen = chosen
         self.bits = bits
-        self._sorted = [T.members[i] for i in mask_bits(bits)]
-        self._hash = hash((system, chosen))
 
     def __contains__(self, s):
-        return s in self.chosen
+        i = self.system.table().index.get(s)
+        return i is not None and self.bits >> i & 1 == 1
 
     def __iter__(self):
-        return iter(self._sorted)
+        members = self.system.table().members
+        return iter([members[i] for i in mask_bits(self.bits)])
 
     def __len__(self):
-        return len(self.chosen)
+        return self.bits.bit_count()
 
     def __eq__(self, other):
         return (isinstance(other, Orientation)
-                and self.system == other.system and self.chosen == other.chosen)
+                and self.system == other.system and self.bits == other.bits)
 
     def __hash__(self):
-        return self._hash
+        return hash((self.system, self.bits))
 
     def __repr__(self):
-        return "Orientation(%d members)" % len(self.chosen)
+        return "Orientation(%d members)" % len(self)
 
 
 def is_consistent(O):
@@ -330,7 +321,22 @@ class CoverFamily:
         return blocked
 
     def subset_in(self, O):
-        return self._cover(O)
+        """The first element of the family inside O, or None.
+
+        For T_k only the members of O whose A-side is maximal under
+        inclusion are searched, the first of equal A-sides in
+        (-|A|, sort_key) order: A_x <= A_y means that y covers every vertex
+        and edge that x covers, so O holds a cover of at most three A-sides
+        if and only if its maximal members do.  T_k* searches all of O,
+        since a star need not stay one when a member is replaced.
+        """
+        if self.stars_only:
+            return self._cover(O)
+        top = []
+        for s in sorted(O, key=lambda s: (-s.a.bit_count(), s.sort_key)):
+            if all(s.a & ~t.a for t in top):
+                top.append(s)
+        return self._cover(top)
 
 
 def p_s_family(S):
@@ -369,47 +375,29 @@ def profile_stand_in_family(S):
 
 
 def _backtrack_orientations(S, prune):
-    """All total choices surviving the incremental prune; the search engine
-    of every tangle, profile and node enumeration.
+    """The bitsets of all total choices surviving the incremental prune; the
+    search engine of every tangle, profile and node enumeration.
 
-    prune(chosen, bits, y) -> True to reject the branch extending chosen by
-    member number y of S's `IndexTable`; bits is the bitset of chosen.
-    One orientation of each canonical representative is decided, in order:
-    degenerates are auto-included, the rest decided each before its
-    inverse, on an explicit stack rather than the interpreter's.
+    prune(bits, y) -> True to reject the branch extending the bitset bits
+    of chosen members by member number y of S's `IndexTable`.  One
+    orientation of each canonical representative is decided: first the
+    degenerates, each its own only choice, then the rest in order, each
+    before its inverse, depth first on an explicit stack rather than the
+    interpreter's.
     """
-    T = S.table()
-    members, inv = T.members, T.inv
-    chosen = set()
-    bits = 0
-    for d in T.reps:
-        if inv[d] == d:
-            if prune(chosen, bits, d):
-                return []
-            chosen.add(members[d])
-            bits |= 1 << d
-    rest = [i for i in T.reps if inv[i] != i]
-    if not rest:
-        return [frozenset(chosen)]
+    inv = S.table().inv
+    order = sorted(S.table().reps, key=lambda i: inv[i] != i)
     results = []
-    path = []                    # the member decided at each depth so far
-    stack = [(0, inv[rest[0]]), (0, rest[0])]
+    stack = [(0, 0)]
     while stack:
-        i, y = stack.pop()
-        while len(path) > i:
-            x = path.pop()
-            chosen.remove(members[x])
-            bits ^= 1 << x
-        if prune(chosen, bits, y):
+        i, bits = stack.pop()
+        if i == len(order):
+            results.append(bits)
             continue
-        if i + 1 == len(rest):
-            results.append(frozenset(chosen | {members[y]}))
-            continue
-        path.append(y)
-        chosen.add(members[y])
-        bits |= 1 << y
-        stack.append((i + 1, inv[rest[i + 1]]))
-        stack.append((i + 1, rest[i + 1]))
+        r = order[i]
+        for y in (inv[r], r) if inv[r] != r else (r,):
+            if not prune(bits, y):
+                stack.append((i + 1, bits | 1 << y))
     return results
 
 
@@ -423,18 +411,18 @@ def f_tangles(S, F):
     incons = T.incons
     blocked = F.blocker(T)
 
-    def prune(chosen, bits, y):
+    def prune(bits, y):
         return bool(bits & incons[y]) or blocked(bits, y)
 
     out = []
-    for chosen in _backtrack_orientations(S, prune):
-        O = Orientation(S, chosen)
+    for bits in _backtrack_orientations(S, prune):
+        O = Orientation(S, bits)
         if not is_consistent(O)[0]:
             raise VerificationFailed("tangle search returned an inconsistent orientation")
-        if F.subset_in(O.chosen) is not None:
+        if F.subset_in(O) is not None:
             raise VerificationFailed("tangle search returned an orientation with an F-element")
         out.append(O)
-    out.sort(key=lambda O: tuple(s.sort_key for s in O))
+    out.sort(key=lambda O: mask_bits(O.bits))
     return out
 
 
@@ -469,7 +457,7 @@ def regular_profiles(S):
     T = S.table()
     inv, up, incons, join = T.inv, T.up, T.incons, T.join
 
-    def prune(chosen, bits, y):
+    def prune(bits, y):
         t = inv[y]
         if t != y and up[t] >> y & 1:              # y is co-small
             return True
@@ -484,15 +472,15 @@ def regular_profiles(S):
         return False
 
     out = []
-    for chosen in _backtrack_orientations(S, prune):
-        O = Orientation(S, chosen)
+    for bits in _backtrack_orientations(S, prune):
+        O = Orientation(S, bits)
         # the prune misses a (r v s)* whose member is chosen after r and s
         if not is_profile(O)[0]:
             continue
         if not is_consistent(O)[0] or not is_regular(O)[0]:
             raise VerificationFailed("search returned an inconsistent or irregular profile")
         out.append(O)
-    out.sort(key=lambda O: tuple(s.sort_key for s in O))
+    out.sort(key=lambda O: mask_bits(O.bits))
     return out
 
 
@@ -516,13 +504,10 @@ def distinguishers(P1, P2):
     """(all, efficient): members oriented oppositely; efficient = min order."""
     if P1 == P2:
         raise Indistinct("orientations are identical")
-    out = []
-    for s in P1:
-        if s.is_degenerate:
-            continue
-        if s.inv in P2:
-            out.append(canonical(s))
-    out = sorted(set(out), key=lambda s: s.sort_key)
+    # P2 holds s* for the non-degenerate s of P1 that it lacks
+    T = P1.system.table()
+    ids = {min(i, T.inv[i]) for i in mask_bits(P1.bits & ~P2.bits)}
+    out = [T.members[i] for i in sorted(ids)]
     if not out:
         return [], []
     m = min(s.order for s in out)

@@ -10,7 +10,7 @@ from .errors import (HypothesisFailure, NonDistributive, NotInSystem,
                      ParseError, StepBudgetExceeded, TooLarge,
                      VerificationFailed)
 from .graphs import mask_bits
-from .refine import _premise, _refine, enumerate_stars, proper_members
+from .refine import _premise, _refine
 from .seps import SeparationSystem, nested
 from .tangles import (StarFamily, check_star, check_star_family,
                       closely_related, f_tangles, is_good, is_star,
@@ -577,36 +577,37 @@ def near_max_star(sigma, P, tangles=None):
 
 
 def _profile_stars(P):
-    """An iterator over the stars of proper members of P; TooLarge at once
-    when P has more than STAR_CAP proper members."""
-    props = proper_members(P)
-    if len(props) > STAR_CAP:
+    """An iterator over the stars of proper members of P, as bitsets over
+    its system's table; TooLarge at once when P has more than STAR_CAP
+    proper members."""
+    T = P.system.table()
+    props = P.bits & T.proper
+    if props.bit_count() > STAR_CAP:
         raise TooLarge("%d proper members exceed the enumeration cap %d"
-                       % (len(props), STAR_CAP))
-    return enumerate_stars(props)
+                       % (props.bit_count(), STAR_CAP))
+    return T.stars(props)
 
 
 def maximal_star_above(sigma, P):
     """A star in P maximal in the star order with sigma <= it, by enumeration."""
-    stars = sorted(_profile_stars(P),
-                   key=lambda st: (len(st), sorted(s.sort_key for s in st)))
-    cur = frozenset(s for s in sigma if not s.is_small and not s.is_degenerate)
+    T = P.system.table()
+    stars = sorted(_profile_stars(P), key=lambda st: (st.bit_count(), mask_bits(st)))
+    cur = T.bits(sigma) & ~T.small
     while True:
-        nxt = None
-        for st in stars:
-            if star_leq(cur, st) and not star_leq(st, cur):
-                nxt = st
-                break
+        nxt = next((st for st in stars
+                    if T.star_leq(cur, st) and not T.star_leq(st, cur)), None)
         if nxt is None:
-            return cur
+            return frozenset(T.members[i] for i in mask_bits(cur))
         cur = nxt
 
 
 def is_maximal_star(st, P):
     """(flag, witness): no star in P strictly greater in the star order."""
+    T = P.system.table()
+    st = T.bits(st)
     for tau in _profile_stars(P):
-        if star_leq(st, tau) and not star_leq(tau, st):
-            return False, tau
+        if T.star_leq(st, tau) and not T.star_leq(tau, st):
+            return False, frozenset(T.members[i] for i in mask_bits(tau))
     return True, None
 
 
@@ -687,15 +688,11 @@ def theorem_1_3(S, F, N_tilde, tangles=None):
     if ts:
         _require_friendly(S, F)
     N, tree, homes = _refine(S, F, N_tilde, ts, _maximal_step(S, F, ts))
+    # _maximal_step listed the stars of every home P, so the cap holds here
     for node, P in zip(tree.stars, homes):
         if P is None:
             continue
-        try:
-            ok, w = is_maximal_star(node, P)
-        except TooLarge:
-            warnings.warn("essential-node maximality left uncertified "
-                          "(profile too large to enumerate)")
-            continue
+        ok, w = is_maximal_star(node, P)
         if not ok:
             raise VerificationFailed(
                 "essential node %r is exceeded by %r" % (sorted(node), sorted(w)))

@@ -3,7 +3,7 @@ examples and the artifact writers that only the tests use."""
 
 from tangletree.errors import (EmulationFailure, HypothesisFailure, OutOfDomain,
                                VerificationFailed)
-from tangletree.graphs import vertex_mask
+from tangletree.graphs import mask_bits, vertex_mask
 from tangletree.io import _dump, _header, _sep_out
 from tangletree.seps import nested
 from tangletree.tangles import Orientation, check_star, closely_related, star_leq
@@ -144,7 +144,7 @@ def block_orientation(b, S):
             chosen.add(s.inv)
         else:
             return None
-    return Orientation(S, chosen)
+    return Orientation(S, S.table().bits(chosen))
 
 
 # ----------------------------------------------------------------- universes
@@ -179,7 +179,8 @@ def m3_universe():
 
 def max_and_closely_related_report(P):
     """Whether some maximal star in P is closely related to P (recorded data)."""
-    stars = list(_profile_stars(P))
+    members = P.system.table().members
+    stars = [frozenset(members[i] for i in mask_bits(st)) for st in _profile_stars(P)]
     for st in sorted(stars, key=lambda st: (-len(st), sorted(s.sort_key for s in st))):
         if any(star_leq(st, tau) and not star_leq(tau, st) for tau in stars):
             continue

@@ -3,6 +3,7 @@
 from itertools import combinations
 
 from tangletree.errors import CrossingEdge, TooLarge
+from tangletree.graphs import mask_bits
 from tangletree.seps import OrientedSeparation, SeparationSystem, separation
 from tangletree.tangles import (CoverFamily, Orientation, StarFamily,
                                 _backtrack_orientations, is_regular, is_star,
@@ -175,13 +176,14 @@ def f_tangles(S, F):
     violation = (reference_violation if isinstance(F, CoverFamily)
                  else reference_star_violation)
 
-    def prune(chosen, bits, i):
+    def prune(bits, i):
         y = members[i]
+        chosen = {members[j] for j in mask_bits(bits)}
         return (any(pair_inconsistent(x, y) for x in chosen)
                 or violation(F, chosen, y) is not None)
 
     out = [Orientation(S, c) for c in _backtrack_orientations(S, prune)]
-    out = [O for O in out if is_consistent(O)[0] and F.subset_in(O.chosen) is None]
+    out = [O for O in out if is_consistent(O)[0] and F.subset_in(O) is None]
     out.sort(key=lambda O: tuple(s.sort_key for s in O))
     return out
 
@@ -190,8 +192,9 @@ def regular_profiles(S):
     """The regular profiles of S from the element-wise prune, sorted."""
     members = S.table().members
 
-    def prune(chosen, bits, i):
+    def prune(bits, i):
         y = members[i]
+        chosen = {members[j] for j in mask_bits(bits)}
         if y.is_cosmall and not y.is_degenerate:
             return True
         if any(pair_inconsistent(x, y) for x in chosen):
@@ -222,10 +225,10 @@ def brute_force_f_tangles(S, F, limit=18):
         chosen = set(base)
         for i, s in enumerate(nd):
             chosen.add(s if mask >> i & 1 else s.inv)
-        O = Orientation(S, chosen)
+        O = Orientation(S, S.table().bits(chosen))
         if not is_consistent(O)[0]:
             continue
-        if F.subset_in(O.chosen) is not None:
+        if F.subset_in(O) is not None:
             continue
         out.append(O)
     out.sort(key=lambda O: tuple(s.sort_key for s in O))
@@ -238,15 +241,33 @@ def nodes_by_orientation(N):
     sub = SeparationSystem(N.system.ground, frozenset(N.oriented()))
     members = sub.table().members
 
-    def prune(chosen, bits, y):
-        return any(pair_inconsistent(x, members[y]) for x in chosen)
+    def prune(bits, y):
+        return any(pair_inconsistent(members[x], members[y]) for x in mask_bits(bits))
 
     stars = set()
-    for chosen in _backtrack_orientations(sub, prune):
+    for bits in _backtrack_orientations(sub, prune):
+        chosen = [members[i] for i in mask_bits(bits)]
         stars.add(frozenset(
             s for s in chosen
             if not any(not same_separation(s, t) and s.leq(t) and s != t for t in chosen)))
     return sorted(stars, key=lambda st: sorted(s.sort_key for s in st))
+
+
+def enumerate_stars(members):
+    """All stars over the given oriented separations, the empty one first, by
+    `leq` calls in depth-first order; the reference for `IndexTable.stars`."""
+    members = sorted(set(members), key=lambda s: s.sort_key)
+
+    def rec(i, cur):
+        yield frozenset(cur)
+        for j in range(i, len(members)):
+            m = members[j]
+            if all(x.leq(m.inv) for x in cur):
+                cur.append(m)
+                yield from rec(j + 1, cur)
+                cur.pop()
+
+    yield from rec(0, [])
 
 
 def check_universe_elementwise(U):
@@ -446,6 +467,14 @@ def reference_violation(F, chosen, y):
             if reference_cover_contains(F, {y, a, b}):
                 return frozenset({y, a, b})
     return None
+
+
+def maximal_sides(O):
+    """The members of O whose A-side no other member's A-side strictly
+    contains, the least sort_key of equal A-sides; the members that
+    `CoverFamily.subset_in` searches under T_k."""
+    return [s for s in O
+            if not any(s.A < t.A or (s.A == t.A and t.sort_key < s.sort_key) for t in O)]
 
 
 def reference_subset_in(F, O):

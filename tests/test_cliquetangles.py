@@ -11,7 +11,7 @@ from tangletree.cliquetangles import CliqueCover
 from tangletree.errors import NotACover
 from tangletree.examples import (five_cliques_with_hub, satellite_cliques,
                                  shared_pair_cliques)
-from tangletree.graphs import glue_cliques
+from tangletree.graphs import glue_cliques, mask_bits
 from tangletree.seps import canonical, enumerate_separations, separation
 from tangletree.tangles import CoverFamily, _backtrack_orientations, f_tangles
 
@@ -161,10 +161,13 @@ def test_cover_triple_matches_reference(build):
 
     S = cov.base_system()
 
-    def prune(chosen, bits, y):
-        return any(cov._padded_inconsistent(S.table().members[y], c) for c in chosen)
+    members = S.table().members
 
-    for chosen in _backtrack_orientations(S, prune):
+    def prune(bits, y):
+        return any(cov._padded_inconsistent(members[y], members[c]) for c in mask_bits(bits))
+
+    for bits in _backtrack_orientations(S, prune):
+        chosen = [members[i] for i in mask_bits(bits)]
         witness = cov.cover_triple(chosen)
         assert witness == reference_cover_triple(cov, chosen)
         if witness is not None:

@@ -2,12 +2,13 @@
 against the set-based loops they replaced."""
 
 import random
+import time
 from itertools import combinations
 
 import pytest
 
 from conftest import random_graph
-from oracles import (reference_cover_contains, reference_star_violation,
+from oracles import (maximal_sides, reference_cover_contains, reference_star_violation,
                      reference_subset_in, reference_violation, reference_witnesses)
 from tangletree import tangles
 from tangletree.blocks import tangle_correspondence
@@ -25,9 +26,11 @@ from tangletree.universe import random_distributive_universe, t_tilde_star
 class _CheckedFamily(CoverFamily):
     """A cover family that checks every call of the search prune against the
     reference: blocked(bits, y) against the witness of reference_violation,
-    and subset_in on the orientation chosen | {y} that the call examines."""
+    and subset_in on the orientation chosen | {y} that the call examines:
+    the same witness as reference_subset_in on the members that subset_in
+    searches, and None exactly when it is None on all of them."""
 
-    calls = 0
+    calls = covers = 0
 
     def blocker(self, T):
         blocked = super().blocker(T)
@@ -40,7 +43,10 @@ class _CheckedFamily(CoverFamily):
             assert got == (want is not None), (chosen, y)
             O = chosen | {y}
             sub = self.subset_in(O)
-            assert sub == reference_subset_in(self, O), O
+            searched = O if self.stars_only else maximal_sides(O)
+            assert sub == reference_subset_in(self, searched), O
+            assert (sub is None) == (reference_subset_in(self, O) is None), O
+            self.covers += sub is not None
             for hit in (want, sub):
                 if hit is not None:
                     assert hit in self and reference_cover_contains(self, hit)
@@ -57,13 +63,26 @@ def test_cover_family_matches_reference(k, stars_only):
     graphs = [random_graph(seed, lo=5, hi=8) for seed in range(8)]
     if k == 3:
         graphs.append(bridged_cliques(4))
+    covers = 0
     for G in graphs:
         S = enumerate_separations(G, k)
         F = _CheckedFamily(G, k, stars_only=stars_only)
         for O in f_tangles(S, F):
-            assert F.subset_in(O.chosen) is None
-            assert reference_subset_in(F, O.chosen) is None
+            assert F.subset_in(O) is None
+            assert reference_subset_in(F, O) is None
         assert F.calls > 0
+        covers += F.covers
+    # some of the orientations examined hold a cover
+    assert covers > 0
+
+
+def test_tk_certificate_searches_the_maximal_members():
+    # P4 plus six isolated vertices at k=2: S_2 has 1,280 members, and a
+    # certificate over all of a tangle's members took 11 s
+    G = Graph(10, [(0, 1), (1, 2), (2, 3)])
+    t0 = time.perf_counter()
+    assert len(f_tangles(enumerate_separations(G, 2), CoverFamily(G, 2))) == 3
+    assert time.perf_counter() - t0 < 3
 
 
 def _homes(G, k):

@@ -16,11 +16,14 @@ from conftest import random_graph
 from tangletree import seps
 from tangletree.cliquetangles import CliqueCover
 from tangletree.examples import bridged_cliques, satellite_cliques
+from tangletree.refine import exclusive_stars
 from tangletree.seps import OrientedSeparation, canonical, classify, enumerate_separations
 from tangletree.tangles import (CoverFamily, Orientation, closely_related, f_tangles,
                                 is_consistent, is_profile, p_s_family,
-                                profile_stand_in_family, regular_profiles)
-from tangletree.universe import random_distributive_universe, t_prime, t_tilde_star
+                                profile_stand_in_family, regular_profiles, star_leq)
+from tangletree.universe import (UniverseElement, is_maximal_star,
+                                 maximal_star_above, random_distributive_universe,
+                                 t_prime, t_tilde_star)
 
 
 def _graph_system(seed, k):
@@ -72,6 +75,9 @@ def test_table_matches_the_element_protocol(build):
     for i, r in enumerate(members):
         assert T.index[r] == i
         assert members[T.inv[i]] == r.inv
+        assert (T.small >> i & 1 == 1) == r.is_small
+        proper = not (r.is_small or r.is_cosmall or r.is_degenerate)
+        assert (T.proper >> i & 1 == 1) == proper
         for j, s in enumerate(members):
             assert (T.up[i] >> j & 1 == 1) == r.leq(s)
             assert (T.down[i] >> j & 1 == 1) == s.leq(r)
@@ -113,6 +119,38 @@ def test_profiles_and_their_family_make_no_element_join(monkeypatch):
             closely_related(s, O)
     profile_stand_in_family(S)
     assert calls == []
+
+
+def test_star_listing_and_the_star_order_make_no_leq_call(monkeypatch):
+    # the tangles of two graphs under T_k and of two universes under T~*
+    cases = []
+    for G in (bridged_cliques(4), random_graph(5, lo=6, hi=8)):
+        S = enumerate_separations(G, 3)
+        cases.append(f_tangles(S, CoverFamily(G, 3)))
+    for seed in (0, 5):
+        S = random_distributive_universe(seed).system()
+        cases.append(f_tangles(S, t_tilde_star(S)))
+    # the first proper member of each tangle, as the star to extend
+    first = {P: [s for s in P if not (s.is_small or s.is_cosmall)][:1]
+             for ts in cases for P in ts}
+
+    def forbidden(self, other):
+        raise AssertionError("leq called")
+
+    for cls in (OrientedSeparation, UniverseElement):
+        monkeypatch.setattr(cls, "leq", forbidden)
+    found = []
+    for ts in cases:
+        assert ts
+        for P in ts:
+            assert sum(1 for _ in exclusive_stars(P, ts)) > 1
+            spp = maximal_star_above(first[P], P)
+            assert is_maximal_star(spp, P) == (True, None)
+            assert is_maximal_star(first[P], P)[0] == (spp == frozenset(first[P]))
+            found.append(spp)
+    monkeypatch.undo()
+    for spp, P in zip(found, first):
+        assert spp and star_leq(first[P], spp)
 
 
 def test_table_is_built_once_per_system_and_not_when_enumerating(monkeypatch):
@@ -168,7 +206,8 @@ def test_no_module_state_holds_a_table():
 def _random_orientations(S, rng, count):
     reps = S.unoriented()
     for _ in range(count):
-        yield Orientation(S, [s if rng.random() < 0.5 else s.inv for s in reps])
+        yield Orientation(S, S.table().bits(s if rng.random() < 0.5 else s.inv
+                                            for s in reps))
 
 
 def _assert_parity(S, tangles_of, seed):

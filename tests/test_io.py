@@ -103,9 +103,19 @@ def test_tangles_round_trip(tmp_path, twin):
     save_tangles(ts, p)
     ts2 = load_tangles(p, G)
     assert len(ts2) == len(ts)
-    assert [frozenset(O.chosen) for O in ts2] == [frozenset(O.chosen) for O in ts]
+    assert [set(O) for O in ts2] == [set(O) for O in ts]
     with pytest.raises(ParseError):
         save_tangles([], p)
+
+
+def test_tangle_row_that_is_not_consistent_is_a_parse_error(tmp_path, twin):
+    G, S, ts = twin
+    p = tmp_path / "t.json"
+    obj = json.loads(save_tangles(ts, p))
+    obj["tangles"][0] = [1 - b for b in obj["tangles"][0]]
+    p.write_text(json.dumps(obj))
+    with pytest.raises(ParseError, match="not consistent"):
+        load_tangles(p, G)
 
 
 def test_star_family_round_trip(tmp_path, twin):
@@ -185,6 +195,21 @@ def test_nested_set_without_members_is_a_parse_error(tmp_path, twin):
     p = _write(tmp_path / "n.json", {"format": "nested-set", "n": G.n, "k": 3})
     with pytest.raises(ParseError, match="members"):
         load_nested_set(p, S)
+
+
+def test_nested_set_member_outside_the_system_is_a_parse_error(tmp_path):
+    G = bridged_cliques(4)
+    S = enumerate_separations(G, 2)
+    p = _write(tmp_path / "n.json", {"format": "nested-set", "n": G.n, "k": 2,
+                                     "members": [[[0, 1, 2, 3, 4], [3, 4, 5, 6, 7]]]})
+    with pytest.raises(ParseError, match="not in the system"):
+        load_nested_set(p, S)
+    u = random_distributive_universe(1)
+    x = next(x for x in u if not x.is_degenerate)
+    y = next(y for y in u if y not in (x, x.inv))
+    p = _write(tmp_path / "a.json", {"format": "abstract-nested-set", "members": [y.name]})
+    with pytest.raises(ParseError, match="not in the system"):
+        load_abstract_nested_set(p, u.system([x, x.inv]))
 
 
 def test_abstract_nested_set_without_members_is_a_parse_error(tmp_path):

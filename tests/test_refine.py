@@ -7,17 +7,18 @@ from hypothesis import strategies as st
 from conftest import random_graph
 from lemmas import (ShiftContext, closeness_repair, min_order_extension,
                     nested_replacement)
+from oracles import enumerate_stars
 from tangletree.distinguish import build_efficient_nested_set
 from tangletree.errors import HypothesisFailure, OutOfDomain
 from tangletree.examples import bridged_cliques
-from tangletree.graphs import complete_graph, path_graph
-from tangletree.refine import (enumerate_stars, exclusive_stars,
-                               min_interior_exclusive_star, proper_members,
+from tangletree.graphs import complete_graph, mask_bits, path_graph
+from tangletree.refine import (exclusive_stars, min_interior_exclusive_star,
                                refine_inessential, theorem_1_2)
 from tangletree.seps import enumerate_separations, separation
 from tangletree.tangles import (CoverFamily, f_tangles, interior, is_star,
                                 star_leq)
 from tangletree.trees import NestedSet
+from tangletree.universe import random_distributive_universe, t_tilde_star
 
 
 def _twin_setup():
@@ -43,17 +44,22 @@ def test_shift_context():
             ctx.shift(outside)
 
 
-def test_enumerate_stars_matches_subset_oracle():
+def test_table_stars_match_subset_oracle():
     from itertools import combinations
     G, S, ts = _twin_setup()
-    members = proper_members(ts[0])[:8]
-    got = set(enumerate_stars(members))
-    want = set()
-    for r in range(len(members) + 1):
-        for c in combinations(members, r):
-            if is_star(c):
-                want.add(frozenset(c))
-    assert got == want
+    U = random_distributive_universe(0).system()
+    for S, P in ((S, ts[0]), (U, f_tangles(U, t_tilde_star(U))[0])):
+        T = S.table()
+        members = [T.members[i] for i in mask_bits(P.bits & T.proper)][:8]
+        got = [frozenset(T.members[i] for i in mask_bits(st))
+               for st in T.stars(T.bits(members))]
+        assert got == list(enumerate_stars(members))
+        want = set()
+        for r in range(len(members) + 1):
+            for c in combinations(members, r):
+                if is_star(c):
+                    want.add(frozenset(c))
+        assert len(got) == len(want) and set(got) == want
 
 
 def test_refine_inessential_certificate():

@@ -72,17 +72,34 @@ def test_backtracking_matches_brute_force_filter(G, k):
               profile_stand_in_family(S)):
         fast = f_tangles(S, F)
         slow = brute_force_f_tangles(S, F)
-        assert [O.chosen for O in fast] == [O.chosen for O in slow]
+        assert [O.bits for O in fast] == [O.bits for O in slow]
 
 
 def test_orientation_validation():
     G = path_graph(4)
     S = enumerate_separations(G, 2)
+    T = S.table()
     with pytest.raises(ValueError):
-        Orientation(S, set())
-    chosen = set(S.unoriented())
-    O = Orientation(S, chosen)
-    assert len(O) == len(S.unoriented())
+        Orientation(S, 0)
+    reps = S.unoriented()
+    O = Orientation(S, T.bits(reps))
+    assert len(O) == len(reps)
+    assert list(O) == reps
+    s = next(s for s in reps if not s.is_degenerate)
+    assert s in O and s.inv not in O
+    assert separation(path_graph(5), {0, 1}, {1, 2, 3, 4}) not in O
+    assert O == Orientation(S, T.bits(reps)) and len({O, Orientation(S, O.bits)}) == 1
+    with pytest.raises(ValueError):
+        Orientation(S, O.bits | 1 << T.index[s.inv])       # both sides of s
+    with pytest.raises(ValueError):
+        Orientation(S, O.bits | 1 << len(T.members))       # a bit past the table
+    # K2 at k=3 holds the degenerate ({0,1},{0,1}), which every orientation holds
+    S = enumerate_separations(complete_graph(2), 3)
+    T = S.table()
+    d = next(i for i, t in enumerate(T.inv) if i == t)
+    assert Orientation(S, T.bits(S.unoriented())).bits >> d & 1
+    with pytest.raises(ValueError):
+        Orientation(S, T.bits(S.unoriented()) & ~(1 << d))
 
 
 def test_star_predicates():
@@ -115,7 +132,7 @@ def test_consistency_witness():
             chosen.add(b)
         else:
             chosen.add(rep)
-    ok, wit = is_consistent(Orientation(S, chosen))
+    ok, wit = is_consistent(Orientation(S, S.table().bits(chosen)))
     assert not ok
     assert wit == (a.inv, b) or wit == (b.inv, a) or wit is not None
 

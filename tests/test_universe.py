@@ -278,7 +278,7 @@ def test_unscramble_warns_without_distributivity():
     S = u.system()
     bot = u.element("bot")
     a, b, c = u.element("a"), u.element("b"), u.element("c")
-    P = Orientation(S, {bot, a, b, c})
+    P = Orientation(S, S.table().bits({bot, a, b, c}))
     with warnings.catch_warnings(record=True) as w:
         warnings.simplefilter("always")
         r2, s2 = unscramble_pair(a, b, frozenset(), P)
