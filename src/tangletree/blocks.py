@@ -3,7 +3,7 @@
 from itertools import combinations
 
 from .distinguish import DistinguisherTable
-from .graphs import mask_bits, min_vertex_cut_size, vertex_mask
+from .graphs import mask_bits, vertex_mask
 from .seps import canonical, from_masks
 from .tangles import (SideMasks, check_star, covering_subset, distinguishes,
                       interior)
@@ -31,13 +31,32 @@ class Block:
         return "Block(%r, k=%d)" % (sorted(self.vertices), self.k)
 
 
-def inseparable(G, a, b, k):
-    """No set of fewer than k vertices separates a from b."""
-    if a == b:
-        return True
-    if frozenset((a, b)) in G.edges:
-        return True
-    return min_vertex_cut_size(G, a, b) >= k
+def separated(G, k):
+    """sep[v]: the mask of the vertices that some set of fewer than k other
+    vertices separates from v.
+
+    One sweep over every vertex set X of fewer than min(k, n - 1, D + 1)
+    vertices, D the maximum degree: for each component C of G - X, every v
+    in C is separated from V - X - C.  Larger sets need no visit.  A
+    separator avoids both ends of its pair, so it has at most n - 2
+    vertices, and a pair a, b that some set separates is also separated by
+    N(a), of at most D vertices.  The sweep makes sum over s of C(n, s)
+    component searches, of O(n) bitset steps each.
+    """
+    sep = [0] * G.n
+    top = min(k, G.n - 1, max((a.bit_count() for a in G.adj), default=0) + 1)
+    for size in range(max(top, 0)):
+        for X in combinations(range(G.n), size):
+            x = vertex_mask(X)
+            comps = G.component_masks(x)
+            if len(comps) < 2:
+                continue
+            rest = G.full & ~x
+            for c in comps:
+                apart = rest & ~c
+                for v in mask_bits(c):
+                    sep[v] |= apart
+    return sep
 
 
 def _maximal_cliques(verts, compatible):
@@ -62,15 +81,18 @@ def _maximal_cliques(verts, compatible):
 
 
 def k_blocks(G, k):
-    """All k-blocks: maximal pairwise k-inseparable sets of >= k vertices."""
+    """All k-blocks: maximal pairwise k-inseparable sets of >= k vertices.
+
+    Two vertices are k-inseparable when no set of fewer than k other
+    vertices separates them; `separated` finds every such pair in one
+    sweep over the candidate separators.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
-    pairs = {}
-    for a, b in combinations(sorted(G.vertices), 2):
-        pairs[(a, b)] = inseparable(G, a, b, k)
+    sep = separated(G, k)
 
     def compatible(a, b):
-        return a == b or pairs[(min(a, b), max(a, b))]
+        return not sep[a] >> b & 1
 
     out = []
     for U in _maximal_cliques(G.vertices, compatible):

@@ -289,37 +289,12 @@ def save_universe(U, path, seed=None):
 
 
 def load_universe(path):
-    """Table form; a missing table or a malformed row is a ParseError."""
+    """Table form; `Universe.from_tables` checks every table as it reads
+    it, so a missing table or a malformed row is a ParseError."""
     from .universe import Universe
     obj = _load(path, "universe")
-    ids = obj.get("elements")
-    if not isinstance(ids, list) or not all(isinstance(v, str) for v in ids):
-        raise ParseError("universe 'elements' must be a list of names")
-    leq = _rows(obj, "leq", 2)
-    meet = {(a, b): c for a, b, c in _rows(obj, "meet", 3)}
-    join = {(a, b): c for a, b, c in _rows(obj, "join", 3)}
-    inv = obj.get("inv")
-    if not isinstance(inv, dict) or not all(isinstance(v, str) for v in inv.values()):
-        raise ParseError("universe 'inv' must map names to names")
-    order = obj.get("order")
-    if order is not None and not (
-            isinstance(order, dict)
-            and all(type(v) is int for v in order.values())):
-        raise ParseError("universe 'order' must map names to integers")
-    return Universe.from_tables(ids, leq, inv, meet, join, order=order)
-
-
-def _rows(obj, key, width):
-    """The rows of one universe table, each a tuple of `width` names."""
-    rows = obj.get(key)
-    if not isinstance(rows, list):
-        raise ParseError("universe table %r is missing or not a list" % (key,))
-    for row in rows:
-        if (not isinstance(row, list) or len(row) != width
-                or not all(isinstance(v, str) for v in row)):
-            raise ParseError("universe table %r needs rows of %d names, got %r"
-                             % (key, width, row))
-    return [tuple(row) for row in rows]
+    return Universe.from_tables(obj.get("elements"), obj.get("leq"), obj.get("inv"),
+                                obj.get("meet"), obj.get("join"), order=obj.get("order"))
 
 
 def load_abstract_system(path, U):

@@ -519,6 +519,16 @@ def theorem_1_2(G, F, N_tilde, tangles=None):
     minimal interior among the exclusive stars of their tangle.
 
     The essential step is min_interior_exclusive_star.  Returns (N, TD).
+
+    A graph with fewer than k vertices has no T_k-tangle: its degenerate
+    separation (V, V) lies in S_k, and the star {(V, V)} in F.  Its one
+    node, the empty star, lies outside F, and on K1 at k >= 2 and K2 at
+    k >= 3 every carving of it by `_carve_cover` needs a degenerate split,
+    which the carving refuses.  There the answer is the empty nested set
+    and the one bag V(G), as on K2 at k = 2, where that bag is home to the
+    one tangle.  The node is exempt from lying in F: its bag has fewer than
+    k vertices, too few to be home to a k-tangle, which is what F stands
+    for.
     """
     S = N_tilde.system
     table = DistinguisherTable.of(f_tangles(S, F) if tangles is None else tangles)
@@ -528,8 +538,16 @@ def theorem_1_2(G, F, N_tilde, tangles=None):
         sig2 = min_interior_exclusive_star(tau, st, table)
         return sig2, sig2
 
-    N, tree, _ = _refine(S, F, N_tilde, table.tangles, step)
-    TD = TreeDecomposition(G, [interior(x, G) for x in tree.stars], tree.edges)
+    try:
+        N, tree, _ = _refine(S, F, N_tilde, table.tangles, step)
+    except SearchExhausted:
+        if (table.tangles or N_tilde.members or not isinstance(F, CoverFamily)
+                or G.n >= F.k):
+            raise
+        N, bags, edges = N_tilde, [G.vertices], []
+    else:
+        bags, edges = [interior(x, G) for x in tree.stars], tree.edges
+    TD = TreeDecomposition(G, bags, edges)
     ok, w = TD.is_valid()
     if not ok:
         raise VerificationFailed("refined bags are not a tree-decomposition: %r" % (w,))

@@ -4,7 +4,7 @@ unscrambling, and Theorem 1.3 with its essential step by maximal stars."""
 
 import random
 import warnings
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import (HypothesisFailure, NonDistributive, NotInSystem,
                      ParseError, StepBudgetExceeded, TooLarge,
@@ -57,14 +57,16 @@ class UniverseElement:
         return self.universe._up[self.i] >> other.i & 1 == 1
 
     def join(self, other):
-        if other.__class__ is not UniverseElement or other.universe is not self.universe:
+        U = self.universe
+        if other.__class__ is not UniverseElement or other.universe is not U:
             self._check(other)
-        return self.universe._join[self.i][other.i]
+        return U._elems[U._join[self.i][other.i]]
 
     def meet(self, other):
-        if other.__class__ is not UniverseElement or other.universe is not self.universe:
+        U = self.universe
+        if other.__class__ is not UniverseElement or other.universe is not U:
             self._check(other)
-        return self.universe._meet[self.i][other.i]
+        return U._elems[U._meet[self.i][other.i]]
 
     @property
     def is_small(self):
@@ -126,10 +128,10 @@ class UniverseElement:
         ujoin, umeet = U._join, U._meet
 
         def join(i, j):
-            return pos[ujoin[ids[i]][ids[j]].i]
+            return pos[ujoin[ids[i]][ids[j]]]
 
         def meet(i, j):
-            return pos[umeet[ids[i]][ids[j]].i]
+            return pos[umeet[ids[i]][ids[j]]]
 
         return join, meet
 
@@ -149,46 +151,68 @@ class Universe:
 
     @classmethod
     def from_tables(cls, ids, leq, inv, meet, join, order=None):
-        """Table-driven universe; validates totality of all tables on load.
+        """Table-driven universe, in the form of a universe file: `ids` lists
+        the element names, `leq` holds an [a, b] row for each a <= b,
+        `meet` and `join` hold [a, b, c] rows, and `inv` and `order` map
+        names to names and to integers.  A missing (a, b) entry of meet or
+        join is read from (b, a), and a later row for the same pair replaces
+        an earlier one.
 
-        Element i keeps its up-set as the int `_up[i]` (bit j set when
-        i <= j); `_join` and `_meet` are n x n lists of elements.  Every
-        entry names an element, so the universe is closed by construction.
+        Each row is checked and its names resolved to element numbers in
+        one pass.  A malformed table, an unknown name, or a table that is
+        not total is a ParseError.  Every entry names an element, so the
+        universe is closed by construction.
         """
-        self = cls.__new__(cls)
-        self.ids = list(ids)
-        if len(set(self.ids)) != len(self.ids):
+        if not isinstance(ids, list) or not all(isinstance(v, str) for v in ids):
+            raise ParseError("universe 'elements' must be a list of names")
+        index = {v: i for i, v in enumerate(ids)}
+        n = len(ids)
+        leq, meet, join = [(rows,) + _resolve(rows, key, width, index)
+                           for key, rows, width in (("leq", leq, 2), ("meet", meet, 3),
+                                                    ("join", join, 3))]
+        if not isinstance(inv, dict) or not all(isinstance(v, str) for v in inv.values()):
+            raise ParseError("universe 'inv' must map names to names")
+        if order is not None and not (
+                isinstance(order, dict)
+                and all(type(v) is int for v in order.values())):
+            raise ParseError("universe 'order' must map names to integers")
+        if len(index) != n:
             raise ParseError("duplicate element ids")
-        self._index = index = {v: i for i, v in enumerate(self.ids)}
-        n = len(self.ids)
-
-        def look(v):
-            if v not in index:
-                raise ParseError("unknown element id %r" % (v,))
-            return index[v]
-
-        self._inv = [None] * n
+        _unknown((v for a, b in inv.items() for v in (b, a)), index)
+        inv_ids = [None] * n
         for a, b in inv.items():
-            self._inv[look(a)] = look(b)
-        if any(v is None for v in self._inv):
+            inv_ids[index[a]] = index[b]
+        if None in inv_ids:
             raise ParseError("involution table is not total")
-        self._up = [1 << i for i in range(n)]
-        for a, b in leq:
-            self._up[look(a)] |= 1 << look(b)
-        meet = _total_table(meet, look, n, "meet")
-        join = _total_table(join, look, n, "join")
-        if order is None:
-            self._order = None
-        else:
+        rows, flat, unknown = leq
+        if unknown:
+            _unknown(chain.from_iterable(rows), index)
+        up = [1 << i for i in range(n)]
+        pairs = iter(flat)
+        for i, j in zip(pairs, pairs):
+            up[i] |= 1 << j
+        meet = _total_table(*meet, index, "meet")
+        join = _total_table(*join, index, "join")
+        if order is not None:
             try:
-                self._order = [int(order[v]) for v in self.ids]
+                order = [int(order[v]) for v in ids]
             except KeyError as e:
                 raise ParseError("order map is not total: missing %r" % (e.args[0],))
-        elems = self._elems = [UniverseElement(self, i) for i in range(n)]
+        return cls._build(ids, index, inv_ids, up, meet, join, order)
+
+    @classmethod
+    def _build(cls, ids, index, inv, up, meet, join, order):
+        """The universe of resolved tables: element i is named ids[i] (and
+        index maps the names back), inv[i] is its inverse, the int up[i] its
+        up-set (bit j set when i <= j), meet[i][j] and join[i][j] element
+        numbers, and order a list of orders or None."""
+        self = cls.__new__(cls)
+        self.ids, self._index = ids, index
+        self._inv, self._up, self._meet, self._join = inv, up, meet, join
+        self._order = order
+        elems = self._elems = [UniverseElement(self, i) for i in range(len(ids))]
         for x in elems:
-            x.inv = elems[self._inv[x.i]]
-        self._meet = [[elems[k] for k in row] for row in meet]
-        self._join = [[elems[k] for k in row] for row in join]
+            x.inv = elems[inv[x.i]]
         self._elements = sorted(elems, key=lambda x: x.sort_key)
         self._report = None
         return self
@@ -224,12 +248,56 @@ class Universe:
         return "Universe(%d elements)" % len(self._elements)
 
 
-def _total_table(tab, look, n, what):
-    """n x n list of indices; a missing (i, j) entry is read from (j, i)."""
+def _resolve(rows, key, width, index):
+    """(flat, unknown): the element numbers of one table's rows, flattened,
+    and whether some row names an unknown element.  Such a row is left out;
+    `_unknown` names the element once the checks that come first have
+    passed.  A row that is not a list of `width` names is a ParseError at
+    once.  A table of well-formed rows is resolved by one map over its
+    names; only a table with a bad row is read row by row."""
+    if not isinstance(rows, list):
+        raise ParseError("universe table %r is missing or not a list" % (key,))
+    if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}:
+        try:
+            return list(map(index.__getitem__, chain.from_iterable(rows))), False
+        except (KeyError, TypeError):
+            pass
+    flat, unknown = [], False
+    for row in rows:
+        if (not isinstance(row, list) or len(row) != width
+                or not all(isinstance(v, str) for v in row)):
+            raise ParseError("universe table %r needs rows of %d names, got %r"
+                             % (key, width, row))
+        if all(v in index for v in row):
+            flat += [index[v] for v in row]
+        else:
+            unknown = True
+    return flat, unknown
+
+
+def _unknown(names, index):
+    """ParseError for the first of the names that names no element."""
+    for v in names:
+        if v not in index:
+            raise ParseError("unknown element id %r" % (v,))
+
+
+def _total_table(rows, flat, unknown, index, what):
+    """n x n list of element numbers from a table's rows as `_resolve` read
+    them; a missing (i, j) entry is read from (j, i).  An unknown name is
+    reported from the rows the table keeps, pair by pair in the order of
+    each pair's first row, the result c before a and b."""
+    if unknown:
+        kept = {tuple(row[:2]): row for row in rows}.values()
+        _unknown((v for a, b, c in kept for v in (c, a, b)), index)
+    n = len(index)
     out = [[None] * n for _ in range(n)]
-    for (a, b), c in tab.items():
-        out[look(a)][look(b)] = look(c)
+    triples = iter(flat)
+    for i, j, k in zip(triples, triples, triples):
+        out[i][j] = k
     for i, row in enumerate(out):
+        if None not in row:
+            continue
         for j in range(n):
             if row[j] is None:
                 if out[j][i] is None:
@@ -258,61 +326,153 @@ class AbstractSystem(SeparationSystem):
 def check_universe(U):
     """Exhaustive lattice / involution / distributivity report with witnesses.
 
-    Reads the universe's own tables, renumbered in `sort_key` order, and
-    runs every axiom on those integer tables, O(n^3), with no element call.
+    Reads the universe's own tables with no element call, renumbered in
+    `sort_key` order, and holds the order as bitsets: up[r] has bit t when
+    r <= t, down[r] when t <= r.  Each witness is the first failure in
+    position order over elements r, then pairs r < s, then pairs (r, s),
+    then triples (r, s, t).  The lattice axioms take O(n^2) bitset
+    operations: for each pair (r, s), one mask per axiom holds the t that
+    break transitivity (up[s] & ~up[r], when r <= s), the least join
+    (up[r] & up[s] & ~up[r v s]) and the greatest meet
+    (down[r] & down[s] & ~down[r ^ s]); the witness is the lowest t of
+    their union.
+
+    Distributivity, once the lattice axioms hold, is Birkhoff's test
+    (G. Birkhoff, "Rings of sets", Duke Math. J. 3, 1937).  Let J(x) be the
+    set of join-irreducible elements below x, those whose strict down-set
+    is nonempty and has a maximum.  A finite lattice is distributive iff
+    J(x v y) = J(x) | J(y) for all x, y.  If it is distributive, a
+    join-irreducible j <= x v y is (j ^ x) v (j ^ y), so j <= x or j <= y.
+    Conversely, J(x ^ y) = J(x) & J(y) always holds and x is the join of
+    J(x), so x -> J(x) embeds the lattice into a lattice of sets, which is
+    distributive.  Nothing is sampled: the test proves the answer in
+    O(n^2) bitset operations.  Only when it fails, or the lattice axioms
+    do, are the triples (r, s, t) scanned for the first that breaks
+    r ^ (s v t) = (r ^ s) v (r ^ t) or r v (s ^ t) = (r v s) ^ (r v t).
     """
     elems = U._elements
     n = len(elems)
     ids = [x.i for x in elems]
-    pos = _positions(U, elems)
-    inv = [pos[U._inv[i]] for i in ids]
-    leq = [[U._up[i] >> j & 1 == 1 for j in ids] for i in ids]
-    join = [[pos[U._join[i][j].i] for j in ids] for i in ids]
-    meet = [[pos[U._meet[i][j].i] for j in ids] for i in ids]
-    report = {"lattice": True, "involution_order_reversing": True,
-              "distributive": True, "witnesses": {}}
+    if ids == list(range(n)):
+        inv, up, join, meet = U._inv, U._up, U._join, U._meet
+    else:
+        pos = _positions(U, elems)
+        inv = [pos[U._inv[i]] for i in ids]
+        up = [sum(1 << pos[j] for j in mask_bits(U._up[i])) for i in ids]
+        join = [[pos[U._join[i][j]] for j in ids] for i in ids]
+        meet = [[pos[U._meet[i][j]] for j in ids] for i in ids]
+    down = [0] * n
+    for r in range(n):
+        for t in mask_bits(up[r]):
+            down[t] |= 1 << r
+    # key -> (the failure's place in the scan order above, witness name, positions)
+    found = {}
 
-    def flag(key, witness_name, *w):
-        if report[key]:
-            report[key] = False
-            w = tuple(elems[i] for i in w)
-            report["witnesses"][witness_name] = w[0] if len(w) == 1 else w
+    def flag(key, when, name, *w):
+        if key not in found:
+            found[key] = (when, name, w)
 
     for r in range(n):
-        if not leq[r][r]:
-            flag("lattice", "not-reflexive", r)
+        if not up[r] >> r & 1:
+            flag("lattice", (1, r, 0), "not-reflexive", r)
         if inv[inv[r]] != r:
-            flag("involution_order_reversing", "not-involutive", r)
-    for r, s in combinations(range(n), 2):
-        if leq[r][s] and leq[s][r]:
-            flag("lattice", "not-antisymmetric", r, s)
+            flag("involution_order_reversing", (1, r, 1), "not-involutive", r)
+    if "lattice" not in found:
+        for r in range(n):
+            twins = up[r] & down[r] >> r + 1 << r + 1
+            if twins:
+                flag("lattice", (2, r), "not-antisymmetric", r, _low(twins))
+                break
     for r in range(n):
-        for s in range(n):
-            j, m = join[r][s], meet[r][s]
-            if not (leq[r][j] and leq[s][j] and leq[m][r] and leq[m][s]):
-                flag("lattice", "not-a-bound", r, s)
-            if leq[r][s] and not leq[inv[s]][inv[r]]:
-                flag("involution_order_reversing", "order-reversal", r, s)
-    for r in range(n):
-        leq_r, join_r, meet_r = leq[r], join[r], meet[r]
-        for s in range(n):
-            leq_s, join_s, meet_s = leq[s], join[s], meet[s]
-            r_leq_s, rs_meet = leq_r[s], meet_r[s]
-            # rows of r v s and of r ^ s
-            leq_rjs, meet_rjs, join_rms = leq[join_r[s]], meet[join_r[s]], join[rs_meet]
-            for t in range(n):
-                leq_t = leq[t]
-                if r_leq_s and leq_s[t] and not leq_r[t]:
-                    flag("lattice", "not-transitive", r, s, t)
-                if leq_r[t] and leq_s[t] and not leq_rjs[t]:
-                    flag("lattice", "join-not-least", r, s, t)
-                if leq_t[r] and leq_t[s] and not leq_t[rs_meet]:
-                    flag("lattice", "meet-not-greatest", r, s, t)
-                if meet_r[join_s[t]] != join_rms[meet_r[t]]:
-                    flag("distributive", "meet-over-join", r, s, t)
-                if join_r[meet_s[t]] != meet_rjs[join_r[t]]:
-                    flag("distributive", "join-over-meet", r, s, t)
+        ur, dr, jr, mr, ir = up[r], down[r], join[r], meet[r], inv[r]
+        if "lattice" not in found:
+            for s in range(n):
+                j, m = jr[s], mr[s]
+                if not ur >> j & up[s] >> j & dr >> m & down[s] >> m & 1:
+                    flag("lattice", (3, r, s, 0), "not-a-bound", r, s)
+                    break
+        if "involution_order_reversing" not in found:
+            for s in mask_bits(ur):
+                if not up[inv[s]] >> ir & 1:
+                    flag("involution_order_reversing", (3, r, s, 1), "order-reversal", r, s)
+                    break
+    if "lattice" not in found:
+        for r in range(n):
+            ur, dr, jr, mr = up[r], down[r], join[r], meet[r]
+            for s in range(n):
+                us = up[s]
+                trans = us & ~ur if ur >> s & 1 else 0
+                unjoined = ur & us & ~up[jr[s]]
+                bad = trans | unjoined | (dr & down[s] & ~down[mr[s]])
+                if bad:
+                    t = _low(bad)
+                    name = ("not-transitive" if trans >> t & 1 else
+                            "join-not-least" if unjoined >> t & 1 else "meet-not-greatest")
+                    flag("lattice", (4, r, s, t, 0), name, r, s, t)
+                    break
+            if "lattice" in found:
+                break
+    lattice = "lattice" not in found
+    if not lattice or not _birkhoff(down, join):
+        triple = _non_distributive_triple(join, meet)
+        if triple is not None:
+            name, r, s, t = triple
+            flag("distributive", (4, r, s, t, 1), name, r, s, t)
+        elif lattice:
+            raise VerificationFailed("Birkhoff's test and the triple scan disagree")
+    report = {"lattice": lattice,
+              "involution_order_reversing": "involution_order_reversing" not in found,
+              "distributive": "distributive" not in found, "witnesses": {}}
+    for _, name, w in sorted(found.values(), key=lambda f: f[0]):
+        w = tuple(elems[i] for i in w)
+        report["witnesses"][name] = w[0] if len(w) == 1 else w
     return report
+
+
+def _low(mask):
+    """Position of the lowest set bit of a nonzero int."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _birkhoff(down, join):
+    """Whether J(r v s) = J(r) | J(s) for all r < s, where J(x) is the set
+    of join-irreducibles below x; the join table must be a lattice's."""
+    n = len(down)
+    irr = 0
+    for x in range(n):
+        below = down[x] & ~(1 << x)
+        if below:
+            inner = 0
+            for m in mask_bits(below):
+                inner |= down[m] & ~(1 << m)
+            # the maximal elements of the strict down-set; one is its maximum
+            if (below & ~inner).bit_count() == 1:
+                irr |= 1 << x
+    J = [d & irr for d in down]
+    for r in range(n):
+        Jr = J[r]
+        if any(J[j] != Jr | Js for j, Js in zip(join[r][r + 1:], J[r + 1:])):
+            return False
+    return True
+
+
+def _non_distributive_triple(join, meet):
+    """(name, r, s, t) for the first triple in position order that breaks
+    r ^ (s v t) = (r ^ s) v (r ^ t) ("meet-over-join") or
+    r v (s ^ t) = (r v s) ^ (r v t) ("join-over-meet"), or None.  Each pair
+    (r, s) compares both sides over every t as two rows of the tables."""
+    n = len(join)
+    for r in range(n):
+        jr, mr = join[r], meet[r]
+        for s in range(n):
+            mj = list(map(mr.__getitem__, join[s]))
+            jm_m = list(map(join[mr[s]].__getitem__, mr))
+            jm = list(map(jr.__getitem__, meet[s]))
+            mj_j = list(map(meet[jr[s]].__getitem__, jr))
+            if mj != jm_m or jm != mj_j:
+                t = next(t for t in range(n) if mj[t] != jm_m[t] or jm[t] != mj_j[t])
+                return ("meet-over-join" if mj[t] != jm_m[t] else "join-over-meet"), r, s, t
+    return None
 
 
 def require_lattice(U):
@@ -733,9 +893,12 @@ def random_distributive_universe(seed, ground=6, generators=3, max_elements=40):
 
 
 def _subset_universe(sets, full):
-    names = {X: "e%02d" % i for i, X in enumerate(sets)}
-    leq = [(names[X], names[Y]) for X in sets for Y in sets if X <= Y]
-    inv = {names[X]: names[full - X] for X in sets}
-    meet = {(names[X], names[Y]): names[X & Y] for X in sets for Y in sets}
-    join = {(names[X], names[Y]): names[X | Y] for X in sets for Y in sets}
-    return Universe.from_tables([names[X] for X in sets], leq, inv, meet, join)
+    """The universe of a family of subsets of `full`, closed under complement,
+    union and intersection, with the i-th set named "eNN"."""
+    num = {X: i for i, X in enumerate(sets)}
+    ids = ["e%02d" % i for i in range(len(sets))]
+    up = [sum(1 << j for j, Y in enumerate(sets) if X <= Y) for X in sets]
+    meet = [[num[X & Y] for Y in sets] for X in sets]
+    join = [[num[X | Y] for Y in sets] for X in sets]
+    return Universe._build(ids, {v: i for i, v in enumerate(ids)},
+                           [num[full - X] for X in sets], up, meet, join, None)

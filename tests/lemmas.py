@@ -157,24 +157,52 @@ def m3_universe():
     swap under the involution; used for recorded (not asserted) experiments.
     """
     ids = ["bot", "a", "b", "c", "top"]
-    leq = [("bot", x) for x in ids] + [(x, "top") for x in ids]
+    leq = [["bot", x] for x in ids] + [[x, "top"] for x in ids]
     inv = {"bot": "top", "top": "bot", "a": "a", "b": "b", "c": "c"}
-    meet, join = {}, {}
+    meet, join = [], []
     for x in ids:
         for y in ids:
             if x == y:
-                meet[(x, y)] = x
-                join[(x, y)] = x
+                meet.append([x, y, x])
+                join.append([x, y, x])
             elif x == "bot" or y == "bot":
-                meet[(x, y)] = "bot"
-                join[(x, y)] = y if x == "bot" else x
+                meet.append([x, y, "bot"])
+                join.append([x, y, y if x == "bot" else x])
             elif x == "top" or y == "top":
-                meet[(x, y)] = y if x == "top" else x
-                join[(x, y)] = "top"
+                meet.append([x, y, y if x == "top" else x])
+                join.append([x, y, "top"])
             else:  # two distinct midpoints
-                meet[(x, y)] = "bot"
-                join[(x, y)] = "top"
+                meet.append([x, y, "bot"])
+                join.append([x, y, "top"])
     return Universe.from_tables(ids, leq, inv, meet, join)
+
+
+def lattice_of_sets(sets, names, inv, order=None):
+    """The universe of a family of frozensets that is closed under
+    intersection and holds their union, through Universe.from_tables:
+    inclusion is the order, intersection the meet, and the least member
+    holding both the join.  `names` and `inv` map each set to its name and
+    to its inverse."""
+    sets = list(sets)
+
+    def join(X, Y):
+        return min((Z for Z in sets if X | Y <= Z), key=len)
+
+    return Universe.from_tables(
+        [names[X] for X in sets],
+        [[names[X], names[Y]] for X in sets for Y in sets if X < Y],
+        {names[X]: names[inv[X]] for X in sets},
+        [[names[X], names[Y], names[X & Y]] for X in sets for Y in sets],
+        [[names[X], names[Y], names[join(X, Y)]] for X in sets for Y in sets],
+        order=order)
+
+
+def n5_universe():
+    """The non-distributive pentagon bot < a < c < top, bot < b < top, with
+    the order-reversing involution that swaps bot with top and a with c."""
+    bot, a, c, b, top = (frozenset(x) for x in ((), (1,), (1, 2), (3,), (1, 2, 3)))
+    names = {bot: "bot", a: "a", c: "c", b: "b", top: "top"}
+    return lattice_of_sets(names, names, {bot: top, top: bot, a: c, c: a, b: b})
 
 
 def max_and_closely_related_report(P):

@@ -3,7 +3,7 @@
 from itertools import combinations
 
 from tangletree.errors import CrossingEdge, TooLarge
-from tangletree.graphs import mask_bits
+from tangletree.graphs import mask_bits, min_vertex_cut_size
 from tangletree.seps import OrientedSeparation, SeparationSystem, separation
 from tangletree.tangles import (CoverFamily, Orientation, StarFamily,
                                 _backtrack_orientations, is_regular, is_star,
@@ -14,6 +14,14 @@ def induced_edges(G, X):
     """The edges of G with both ends in X."""
     X = frozenset(X)
     return {e for e in G.edges if e <= X}
+
+
+def inseparable(G, a, b, k):
+    """No set of fewer than k vertices separates a from b, by
+    `min_vertex_cut_size` on the pair; the reference for `blocks.separated`."""
+    if a == b or frozenset((a, b)) in G.edges:
+        return True
+    return min_vertex_cut_size(G, a, b) >= k
 
 
 def brute_force_separations(G, k):

@@ -1,15 +1,18 @@
 """k-blocks, separability and the decomposition audit."""
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
 from lemmas import block_orientation
-from tangletree.blocks import (Block, inseparable, k_blocks, separable_star,
-                               tangle_correspondence, verify_theorem_4_8)
+from oracles import inseparable
+from tangletree.blocks import (Block, _maximal_cliques, k_blocks, separable_star,
+                               separated, tangle_correspondence, verify_theorem_4_8)
 from tangletree.distinguish import build_efficient_nested_set
 from tangletree.examples import bridged_cliques
-from tangletree.graphs import complete_graph, path_graph
+from tangletree.graphs import Graph, complete_graph, path_graph
 from tangletree.refine import theorem_1_2
 from tangletree.seps import enumerate_separations
 from tangletree.tangles import (is_profile, is_regular,
@@ -19,9 +22,29 @@ from tangletree.trees import NestedSet, TreeDecomposition
 
 def test_inseparable():
     G = path_graph(5)
-    assert inseparable(G, 0, 1, 2)        # adjacent
-    assert not inseparable(G, 0, 4, 2)    # one cut vertex suffices
-    assert inseparable(G, 0, 4, 1)
+    # adjacent; one cut vertex suffices; no set of fewer than one vertex
+    for a, b, k, apart in ((0, 1, 2, 0), (0, 4, 2, 1), (0, 4, 1, 0)):
+        assert inseparable(G, a, b, k) is not apart
+        assert separated(G, k)[a] >> b & 1 == apart
+
+
+def test_k_blocks_match_the_vertex_cut_reference():
+    """The separator sweep's relation and blocks equal the pairwise
+    `min_vertex_cut_size` reference on random graphs, connected or not."""
+    for n in range(2, 13):
+        for k in range(1, 6):
+            rng = random.Random(100 * n + k)
+            p = rng.uniform(0.15, 0.6)
+            G = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < p])
+            sep = separated(G, k)
+            for a in range(n):
+                for b in range(n):
+                    assert (sep[a] >> b & 1 == 0) == inseparable(G, a, b, k), (n, k, a, b)
+            ref = [U for U in _maximal_cliques(G.vertices,
+                                               lambda a, b: inseparable(G, a, b, k))
+                   if len(U) >= k]
+            assert [blk.vertices for blk in k_blocks(G, k)] == ref
 
 
 def test_k_blocks_complete_graph():

@@ -10,7 +10,9 @@ from tangletree import (blocks, cli, cliquetangles, distinguish, refine,
 from tangletree.examples import bridged_cliques
 from tangletree.graphs import complete_graph, path_graph
 from tangletree.io import (save_graph, save_tree_decomposition, save_universe)
-from tangletree.trees import TreeDecomposition
+from tangletree.seps import enumerate_separations
+from tangletree.tangles import CoverFamily
+from tangletree.trees import NestedSet, TreeDecomposition
 from tangletree.universe import random_distributive_universe
 
 
@@ -110,6 +112,23 @@ def test_refine_then_verify_at_k1_on_an_edgeless_graph(tmp_path):
     assert len(_read(out / "td.json")["nodes"]) == 3
     assert cli.run(["verify", "--graph", str(graph), "--k", "1",
                     "--td", str(out / "td.json"), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("n, k", [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
+def test_refine_keeps_a_graph_with_fewer_than_k_vertices_as_one_bag(tmp_path, n, k):
+    # no T_k-tangle, and every carving of the empty star needs a degenerate
+    # split: the answer is that of K2 at k=2, no separation and one bag V(G)
+    graph = tmp_path / "g.json"
+    save_graph(complete_graph(n), graph)
+    out = tmp_path / "run"
+    assert cli.run(["refine", "--graph", str(graph), "--k", str(k), "--family", "Tk",
+                    "--out", str(out)]) == 0
+    assert _read(out / "refined.json")["members"] == []
+    td = _read(out / "td.json")
+    assert td["nodes"] == [{"bag": list(range(n)), "id": 0}] and td["edges"] == []
+    N, TD = refine.theorem_1_2(complete_graph(n), CoverFamily(complete_graph(n), k),
+                               NestedSet(enumerate_separations(complete_graph(n), k), []))
+    assert not N.members and TD.bags == [frozenset(range(n))] and not TD.edges
 
 
 def test_blocks_subcommand(tmp_path, twin_graph):

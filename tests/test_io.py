@@ -166,6 +166,30 @@ def test_universe_round_trip_is_byte_identical(tmp_path):
     assert [x.name for x in u2] == [x.name for x in u]
 
 
+@pytest.mark.parametrize("table", ["leq", "meet", "join"])
+@pytest.mark.parametrize("name, message", [(["e01"], "needs rows"), (5, "needs rows"),
+                                           (None, "needs rows"),
+                                           ("zz", "unknown element id 'zz'")])
+def test_universe_row_with_a_bad_name_is_a_parse_error(tmp_path, table, name, message):
+    obj = json.loads(save_universe(random_distributive_universe(1), tmp_path / "u.json"))
+    obj[table][3][1] = name
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(obj))
+    with pytest.raises(ParseError, match=message):
+        load_universe(p)
+
+
+@pytest.mark.parametrize("table", ["meet", "join"])
+def test_universe_table_that_is_not_total_is_a_parse_error(tmp_path, table):
+    obj = json.loads(save_universe(random_distributive_universe(1), tmp_path / "u.json"))
+    a, b = obj["elements"][1:3]
+    obj[table] = [row for row in obj[table] if {row[0], row[1]} != {a, b}]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(obj))
+    with pytest.raises(ParseError, match="%s table is not total" % table):
+        load_universe(p)
+
+
 def test_abstract_round_trips(tmp_path):
     u = random_distributive_universe(1)
     S = u.system()

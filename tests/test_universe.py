@@ -2,6 +2,7 @@
 the essential-node refinement."""
 
 import random
+import time
 import warnings
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from itertools import combinations
 
-from lemmas import m3_universe, max_and_closely_related_report
+from lemmas import (lattice_of_sets, m3_universe, max_and_closely_related_report,
+                    n5_universe)
 from oracles import check_universe_elementwise, elements_over
 from tangletree.distinguish import build_efficient_nested_set
 from tangletree.errors import (HypothesisFailure, NonDistributive, NotInSystem,
@@ -59,18 +61,80 @@ def test_check_universe_flags_m3():
             or "join-over-meet" in rep["witnesses"])
 
 
+def test_check_universe_flags_n5():
+    # like M3, a lattice with an order-reversing involution that is not
+    # distributive: Birkhoff's test fails, and the triple scan names the
+    # oracle's witness
+    u = n5_universe()
+    rep = check_universe(u)
+    assert rep["lattice"] and rep["involution_order_reversing"]
+    assert not rep["distributive"]
+    assert set(rep["witnesses"]) <= {"meet-over-join", "join-over-meet"}
+    assert rep == check_universe_elementwise(u)
+
+
+@pytest.mark.parametrize("ground, generators, size", [(7, 4, 64), (8, 5, 128)])
+def test_check_universe_matches_oracle_at_64_and_128_elements(ground, generators, size):
+    # at 128 elements the names e100.. sort before e11, so sort_key order is
+    # not the table's own
+    u = random_distributive_universe(1, ground=ground, generators=generators,
+                                     max_elements=size)
+    assert len(u) == size
+    rep = check_universe(u)
+    assert rep["lattice"] and rep["distributive"]
+    assert rep == check_universe_elementwise(u)
+
+
+def test_check_universe_on_256_elements_takes_under_half_a_second():
+    u = random_distributive_universe(0, ground=10, generators=6, max_elements=256)
+    assert len(u) == 256
+    took = []
+    for _ in range(2):
+        t0 = time.perf_counter()
+        rep = check_universe(u)
+        took.append(time.perf_counter() - t0)
+    assert rep["lattice"] and rep["involution_order_reversing"] and rep["distributive"]
+    assert min(took) < 0.5
+
+
+def test_check_universe_matches_oracle_on_lattices_of_sets():
+    # intersection-closed families are lattices, often not distributive; they
+    # are listed in a shuffled order under random orders, so sort_key order
+    # is not the table's own
+    seen = set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        ground = rng.randint(3, 5)
+        fam = {frozenset(range(ground))}
+        for _ in range(rng.randint(1, 6)):
+            fam.add(frozenset(v for v in range(ground) if rng.random() < 0.5))
+        while any(X & Y not in fam for X, Y in combinations(fam, 2)):
+            fam |= {X & Y for X, Y in combinations(fam, 2)}
+        sets = sorted(fam, key=sorted)
+        rng.shuffle(sets)
+        names = {X: "x%02d" % i for X, i in zip(sets, rng.sample(range(100), len(sets)))}
+        u = lattice_of_sets(sets, names, {X: X for X in sets},
+                            order={names[X]: rng.randrange(3) for X in sets})
+        rep = check_universe(u)
+        assert rep["lattice"]
+        assert rep == check_universe_elementwise(u)
+        seen.add(rep["distributive"])
+    assert seen == {True, False}
+
+
 def test_from_tables_validation():
     with pytest.raises(ParseError):
-        Universe.from_tables(["a", "a"], [], {"a": "a"}, {}, {})
+        Universe.from_tables(["a", "a"], [], {"a": "a"}, [], [])
     with pytest.raises(ParseError):
-        Universe.from_tables(["a", "b"], [], {"a": "b"}, {}, {})
+        Universe.from_tables(["a", "b"], [], {"a": "b"}, [], [])
     with pytest.raises(ParseError):
-        Universe.from_tables(["a"], [], {"a": "a"}, {}, {("a", "a"): "a"})
+        Universe.from_tables(["a"], [], {"a": "a"}, [], [["a", "a", "a"]])
 
 
 def _tables(elems, name=lambda x: x.name):
     """The name-keyed tables of elems, which are closed under inv, join and
-    meet, as Universe.from_tables takes them."""
+    meet: meet and join map name pairs to names, so a test can edit them;
+    `_from_tables` builds the universe."""
     elems = sorted(elems, key=lambda x: x.sort_key)
     leq = [(name(a), name(b)) for a in elems for b in elems if a.leq(b) and a != b]
     inv = {name(a): name(a.inv) for a in elems}
@@ -79,13 +143,20 @@ def _tables(elems, name=lambda x: x.name):
     return [name(a) for a in elems], leq, inv, meet, join
 
 
+def _from_tables(ids, leq, inv, meet, join, **kw):
+    """Universe.from_tables on the tables of `_tables`, meet and join as rows."""
+    return Universe.from_tables(ids, [list(p) for p in leq], inv,
+                                [[a, b, c] for (a, b), c in meet.items()],
+                                [[a, b, c] for (a, b), c in join.items()], **kw)
+
+
 def _separation_universe(G):
     """The separations of G of every order as a table universe: the i-th in
     sort_key order is named "sNNN" and keeps its order, so the universe lists
     them in the same order."""
     elems = sorted(enumerate_separations(G, G.n + 1).oriented, key=lambda s: s.sort_key)
     names = {s: "s%03d" % i for i, s in enumerate(elems)}
-    return Universe.from_tables(*_tables(elems, names.get),
+    return _from_tables(*_tables(elems, names.get),
                                 order={names[s]: s.order for s in elems})
 
 
@@ -120,7 +191,7 @@ def test_check_universe_matches_elementwise_oracle(seed, table, rng_seed, edits)
             inv[a] = b
         else:
             leq.append((a, b))
-    u = Universe.from_tables(ids, leq, inv, meet, join)
+    u = _from_tables(ids, leq, inv, meet, join)
     assert check_universe(u) == check_universe_elementwise(u)
 
 
@@ -157,7 +228,7 @@ def test_table_elements_are_interned():
 def test_theorem_1_3_names_a_failed_lattice_axiom():
     ids, leq, inv, meet, join = _tables(random_distributive_universe(4))
     inv["e00"] = "e01"
-    u = Universe.from_tables(ids, leq, inv, meet, join)
+    u = _from_tables(ids, leq, inv, meet, join)
     S = u.system()
     with pytest.raises(HypothesisFailure, match="involution_order_reversing"):
         theorem_1_3(S, t_tilde_star(S), NestedSet(S, []))
