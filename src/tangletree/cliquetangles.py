@@ -26,7 +26,9 @@ from .graphs import mask_bits, vertex_mask
 from .seps import SeparationSystem, canonical, from_masks
 from .tangles import _backtrack_orientations, same_separation
 
-# search nodes one cover_triple call may visit before it raises TooLarge
+# search nodes one cover search (one combination of base members) may visit
+# before it raises TooLarge; a combination whose result is shared within one
+# `tangles()` call is not searched again and uses no new budget
 COVER_SEARCH_BUDGET = 500000
 
 
@@ -169,7 +171,13 @@ class CliqueCover:
         return SeparationSystem(self.G, bases + [s.inv for s in bases])
 
     def tangles(self):
-        """All T_k-tangles, as orientations of the base patterns."""
+        """All T_k-tangles, as orientations of the base patterns.
+
+        The consistent orientations share most of their members, so the
+        cover searches of one call share their results: a search's result
+        depends only on its combination of members (the wild sides number
+        3 - |combination|), and each combination is searched once.
+        """
         S = self.base_system()
         if 3 * (self.k - 1) >= self.G.n:
             raise TooLarge("three small sides could cover all %d vertices" % self.G.n)
@@ -179,19 +187,27 @@ class CliqueCover:
             return any(self._padded_inconsistent(members[y], members[c])
                        for c in mask_bits(bits))
 
+        searched = {}
         found = ([members[i] for i in mask_bits(bits)]
                  for bits in _backtrack_orientations(S, prune))
-        return [BaseTangle(self, base) for base in found if not self.cover_triple(base)]
+        return [BaseTangle(self, base) for base in found
+                if not self._cover_triple(base, searched)]
 
     def cover_triple(self, members):
         """A covering set of at most three members drawn from the padded
         copies of `members` and small separations, or None."""
+        return self._cover_triple(members, {})
+
+    def _cover_triple(self, members, searched):
+        """`cover_triple`, reading and filling `searched`, the result of
+        each combination already searched."""
         props = sorted(members, key=lambda s: s.sort_key)
         for take in range(1, 4):
             for combo in combinations(props, take):
-                hit = self._cover_search(list(combo), 3 - take)
-                if hit is not None:
-                    return hit
+                if combo not in searched:
+                    searched[combo] = self._cover_search(list(combo), 3 - take)
+                if searched[combo] is not None:
+                    return searched[combo]
         return None
 
     def _cover_search(self, chosen, wilds):
@@ -211,8 +227,7 @@ class CliqueCover:
         if len(missing) > sum(slacks) + wilds * (k - 1):
             return None
         missing_mask = vertex_mask(missing)
-        items = [m for m in map(vertex_mask, G.edge_tuples())
-                 if all(m & ~a for a in sides)]
+        items = [m for m in G.edge_masks if all(m & ~a for a in sides)]
         items += [1 << v for v in missing]
         cliques = [(c, c.bit_count()) for c in self._clique_masks]
         pads = [0] * len(sides)

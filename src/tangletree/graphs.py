@@ -7,13 +7,15 @@ from itertools import combinations
 class Graph:
     """A graph with one adjacency mask per vertex.
 
-    `full` is the vertex mask of V.  `separations` is the table of
+    `full` is the vertex mask of V, and `edge_masks` holds the vertex mask
+    of each edge in `edge_tuples()` order.  `separations` is the table of
     registered separation members: every S_k that
     `seps.enumerate_separations` builds on this graph registers its members
     here, keyed by their (A, B) vertex masks.
     """
 
-    __slots__ = ("n", "edges", "vertices", "full", "adj", "separations", "_hash")
+    __slots__ = ("n", "edges", "vertices", "full", "adj", "edge_masks", "separations",
+                 "_hash")
 
     def __init__(self, n, edges):
         edges = frozenset(frozenset(e) for e in edges)
@@ -32,6 +34,7 @@ class Graph:
         self.vertices = frozenset(range(n))
         self.full = (1 << n) - 1
         self.adj = tuple(adj)
+        self.edge_masks = tuple(map(vertex_mask, self.edge_tuples()))
         self.separations = {}
         self._hash = hash((n, edges))
 

@@ -9,7 +9,7 @@ produced by a seeded run.
 import json
 
 from .errors import CrossingEdge, NotACover, NotInSystem, ParseError
-from .graphs import Graph
+from .graphs import Graph, mask_bits
 from .seps import SeparationSystem, separation
 from .tangles import Orientation, StarFamily, is_consistent
 from .trees import NestedSet, TreeDecomposition
@@ -270,21 +270,21 @@ def load_tree_decomposition(path):
 
 
 def save_universe(U, path, seed=None):
-    """Table form, every element under its name."""
-    elems = sorted(U, key=lambda x: x.sort_key)
-    names = {x: x.name for x in elems}
+    """Table form, every element under its name, read off the universe's
+    own tables by element number."""
+    names, order, up = U.ids, U._order, U._up
+    n = len(names)
     obj = _header("universe", seed)
     obj["backend"] = "table-driven"
-    obj["elements"] = [names[x] for x in elems]
-    obj["leq"] = sorted([names[a], names[b]]
-                        for a in elems for b in elems if a.leq(b) and a != b)
-    obj["inv"] = {names[x]: names[x.inv] for x in elems}
-    obj["meet"] = sorted([names[a], names[b], names[a.meet(b)]]
-                         for a in elems for b in elems)
-    obj["join"] = sorted([names[a], names[b], names[a.join(b)]]
-                         for a in elems for b in elems)
-    if any(x.order for x in elems):
-        obj["order"] = {names[x]: x.order for x in elems}
+    obj["elements"] = [x.name for x in U]
+    obj["leq"] = sorted([names[i], names[j]]
+                        for i in range(n) for j in mask_bits(up[i] & ~(1 << i)))
+    obj["inv"] = dict(zip(names, (names[t] for t in U._inv)))
+    for key, table in (("meet", U._meet), ("join", U._join)):
+        obj[key] = sorted([names[i], names[j], names[c]]
+                          for i, row in enumerate(table) for j, c in enumerate(row))
+    if order is not None and any(order):
+        obj["order"] = dict(zip(names, order))
     return _dump(obj, path)
 
 

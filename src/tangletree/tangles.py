@@ -10,7 +10,7 @@ consistency test is one AND with a precomputed bitset instead of a loop of
 from itertools import combinations
 
 from .errors import Indistinct, NotAStar, NotInProfile, VerificationFailed
-from .graphs import mask_bits, mask_vertices, vertex_mask
+from .graphs import mask_bits, mask_vertices
 
 
 def same_separation(x, y):
@@ -160,12 +160,12 @@ class SideMasks(dict):
 
     Bit i of an edge mask is set when the i-th edge of G.edge_tuples() lies
     inside A, so masks[vertex_mask(U)] is also the target (vertices, induced
-    edges) of U.
+    edges) of U.  `edges` is G's own `edge_masks`.
     """
 
     def __init__(self, G):
         super().__init__()
-        self.edges = [vertex_mask(e) for e in G.edge_tuples()]
+        self.edges = G.edge_masks
 
     def __missing__(self, v):
         self[v] = v, sum(1 << i for i, m in enumerate(self.edges) if v & m == m)

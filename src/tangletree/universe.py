@@ -587,9 +587,11 @@ def profile_nested_part(P, sigma):
     return [x for x in P if all(nested(x, s) for s in sigma)]
 
 
-def _maximal(elems):
-    lst = sorted(set(elems), key=lambda x: x.sort_key)
-    return [x for x in lst if not any(x.leq(y) and x != y for y in lst)]
+def _maximal(T, elems):
+    """The maximal elements among the members elems of T's system, in
+    `sort_key` order: i is maximal when no other of them lies in up[i]."""
+    ids = T.bits(elems)
+    return [T.members[i] for i in mask_bits(ids) if T.up[i] & ids == 1 << i]
 
 
 # ------------------------------------------------------------- unscrambling
@@ -704,7 +706,8 @@ def near_max_star(sigma, P, tangles=None):
             if not is_good(s, tangles)[0]:
                 raise HypothesisFailure("sigma member %r is not good" % (s,))
     part = profile_nested_part(P, sigma)
-    R = _maximal(part)
+    T = P.system.table()
+    R = _maximal(T, part)
     for r in R:
         if not closely_related(r, P)[0]:
             raise VerificationFailed("a maximal separation of P_sigma is not "
@@ -712,18 +715,18 @@ def near_max_star(sigma, P, tangles=None):
     if not star_profile_status(R, P)["narrow"]:
         raise VerificationFailed("the maximal separations of P_sigma are not narrow")
     Rp = unscramble_set(R, sigma, P)
-    sp = _maximal(Rp)
+    sp = _maximal(T, Rp)
     while True:
         viol = [x for x in part if sum(1 for s in sp if s.leq(x)) >= 2]
         if not viol:
             break
-        x = min(_maximal(viol), key=lambda y: y.sort_key)
+        x = _maximal(T, viol)[0]
         if not closely_related(x, P)[0]:
             raise VerificationFailed("shrink pivot is not closely related to P")
         R2 = [s for s in sp if not s.leq(x)] + [x]
         if len(R2) >= len(sp):
             raise VerificationFailed("near-maximality loop failed to shrink the star")
-        sp = _maximal(unscramble_set(R2, sigma, P))
+        sp = _maximal(T, unscramble_set(R2, sigma, P))
     sp = check_star(sp)
     if not star_leq(sigma, sp):
         raise VerificationFailed("output star does not dominate sigma")

@@ -2,6 +2,7 @@
 
 from itertools import combinations
 
+from tangletree import io as tio
 from tangletree.errors import CrossingEdge, TooLarge
 from tangletree.graphs import mask_bits, min_vertex_cut_size
 from tangletree.seps import OrientedSeparation, SeparationSystem, separation
@@ -323,6 +324,33 @@ def check_universe_elementwise(U):
                 if r.join(s.meet(t)) != r.join(s).meet(r.join(t)):
                     flag("distributive", "join-over-meet", (r, s, t))
     return report
+
+
+def reference_maximal(elems):
+    """The maximal elements of elems by pairwise `leq` calls, in `sort_key`
+    order; the reference for `universe._maximal`."""
+    lst = sorted(set(elems), key=lambda x: x.sort_key)
+    return [x for x in lst if not any(x.leq(y) and x != y for y in lst)]
+
+
+def reference_save_universe(U, path, seed=None):
+    """`io.save_universe` by element calls: 2n^2 `meet`/`join` calls and a
+    `leq` call per pair."""
+    elems = sorted(U, key=lambda x: x.sort_key)
+    names = {x: x.name for x in elems}
+    obj = tio._header("universe", seed)
+    obj["backend"] = "table-driven"
+    obj["elements"] = [names[x] for x in elems]
+    obj["leq"] = sorted([names[a], names[b]]
+                        for a in elems for b in elems if a.leq(b) and a != b)
+    obj["inv"] = {names[x]: names[x.inv] for x in elems}
+    obj["meet"] = sorted([names[a], names[b], names[a.meet(b)]]
+                         for a in elems for b in elems)
+    obj["join"] = sorted([names[a], names[b], names[a.join(b)]]
+                         for a in elems for b in elems)
+    if any(x.order for x in elems):
+        obj["order"] = {names[x]: x.order for x in elems}
+    return tio._dump(obj, path)
 
 
 def _clique_prune(cov, sides, slacks, wilds):

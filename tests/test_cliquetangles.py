@@ -7,7 +7,7 @@ import pytest
 
 from oracles import reference_cover_triple
 from tangletree import cliquetangles
-from tangletree.cliquetangles import CliqueCover
+from tangletree.cliquetangles import BaseTangle, CliqueCover
 from tangletree.errors import NotACover
 from tangletree.examples import (five_cliques_with_hub, satellite_cliques,
                                  shared_pair_cliques)
@@ -151,24 +151,54 @@ def _assert_covering_triple(cov, members, witness):
         assert any(e <= w.A for w in witness)
 
 
-@pytest.mark.parametrize("build", [
-    _five_hub_cover, _satellite_cover, _shared_pair_cover,
-    lambda: CliqueCover(glue_cliques(SMALL_COVERS[0][0]), *SMALL_COVERS[0]),
-    lambda: CliqueCover(glue_cliques(SMALL_COVERS[1][0]), *SMALL_COVERS[1])],
-    ids=["five-hub", "satellite", "shared-pair", "small-0", "small-1"])
-def test_cover_triple_matches_reference(build):
-    cov = build()
+COVERS = [_five_hub_cover, _satellite_cover, _shared_pair_cover,
+          lambda: CliqueCover(glue_cliques(SMALL_COVERS[0][0]), *SMALL_COVERS[0]),
+          lambda: CliqueCover(glue_cliques(SMALL_COVERS[1][0]), *SMALL_COVERS[1])]
+COVER_IDS = ["five-hub", "satellite", "shared-pair", "small-0", "small-1"]
 
+
+def _orientations(cov):
+    """The base members of each consistent orientation of the base patterns,
+    in the order `CliqueCover.tangles` reaches them."""
     S = cov.base_system()
-
     members = S.table().members
 
     def prune(bits, y):
         return any(cov._padded_inconsistent(members[y], members[c]) for c in mask_bits(bits))
 
-    for bits in _backtrack_orientations(S, prune):
-        chosen = [members[i] for i in mask_bits(bits)]
+    return [[members[i] for i in mask_bits(bits)]
+            for bits in _backtrack_orientations(S, prune)]
+
+
+@pytest.mark.parametrize("build", COVERS, ids=COVER_IDS)
+def test_cover_triple_matches_reference(build):
+    cov = build()
+    for chosen in _orientations(cov):
         witness = cov.cover_triple(chosen)
         assert witness == reference_cover_triple(cov, chosen)
         if witness is not None:
             _assert_covering_triple(cov, chosen, witness)
+
+
+@pytest.mark.parametrize("build", COVERS, ids=COVER_IDS)
+def test_tangles_search_each_combination_once(build, monkeypatch):
+    cov = build()
+    calls = []
+    search = CliqueCover._cover_search
+
+    def counted(self, chosen, wilds):
+        calls.append(tuple(chosen))
+        return search(self, chosen, wilds)
+
+    monkeypatch.setattr(CliqueCover, "_cover_search", counted)
+    found = cov.tangles()
+    shared = list(calls)
+    del calls[:]
+    unshared = [BaseTangle(cov, chosen) for chosen in _orientations(cov)
+                if not cov.cover_triple(chosen)]
+    # each combination an unshared cover_triple per orientation reaches is
+    # searched once, and the tangles are the same, in the same order
+    assert len(shared) == len(set(shared)) and set(shared) == set(calls)
+    assert found == unshared
+    if build is _five_hub_cover:
+        assert (len(shared), len(calls)) == (115, 316)

@@ -6,7 +6,7 @@ import pytest
 
 from lemmas import (save_abstract_star_family, save_abstract_system,
                     save_star_family)
-from oracles import elements_over
+from oracles import elements_over, reference_save_universe
 from tangletree import cli
 from tangletree.distinguish import build_efficient_nested_set
 from tangletree.errors import ParseError
@@ -164,6 +164,26 @@ def test_universe_round_trip_is_byte_identical(tmp_path):
     text2 = save_universe(u2, p2)
     assert text1 == text2
     assert [x.name for x in u2] == [x.name for x in u]
+
+
+def test_save_universe_matches_the_element_writer(tmp_path):
+    # the table writer against the writer by element calls, on the 36
+    # benchmark universes and on a file with other names and nonzero orders
+    universes = [random_distributive_universe(seed) for seed in range(36)]
+    obj = json.loads(save_universe(universes[4], tmp_path / "u.json"))
+    rename = {v: "x%d" % (37 * i % 101) for i, v in enumerate(obj["elements"])}
+    for key in ("leq", "meet", "join"):
+        obj[key] = [[rename[v] for v in row] for row in obj[key]]
+    obj["inv"] = {rename[a]: rename[b] for a, b in obj["inv"].items()}
+    obj["order"] = {rename[v]: i % 3 for i, v in enumerate(obj["elements"])}
+    obj["elements"] = [rename[v] for v in reversed(obj["elements"])]
+    p = tmp_path / "renamed.json"
+    p.write_text(json.dumps(obj))
+    universes.append(load_universe(p))
+    for u in universes:
+        text = save_universe(u, tmp_path / "a.json", seed=3)
+        assert text == reference_save_universe(u, tmp_path / "b.json", seed=3)
+    assert '"order"' in text and '"x' in text
 
 
 @pytest.mark.parametrize("table", ["leq", "meet", "join"])

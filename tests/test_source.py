@@ -40,3 +40,51 @@ def test_no_unused_imports():
             if name not in used:
                 found.append("%s:%d %s" % (path.name, line, name))
     assert not found, found
+
+
+# each allowed cache, as "module.function", with its reason
+CACHE_ALLOWED = {
+    # the benchmark imports it (ROADMAP item 6); no library path fills it
+    "graphs._min_vertex_cut_size",
+}
+
+
+def _cache_names(tree):
+    """The names an import binds to functools.lru_cache or functools.cache."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names |= {alias.asname or alias.name for alias in node.names
+                      if alias.name in ("lru_cache", "cache")}
+    return names
+
+
+def _is_cache(decorator, names):
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    if isinstance(decorator, ast.Name):
+        return decorator.id in names
+    return (isinstance(decorator, ast.Attribute)
+            and decorator.attr in ("lru_cache", "cache")
+            and isinstance(decorator.value, ast.Name)
+            and decorator.value.id == "functools")
+
+
+def test_no_module_level_cache():
+    # a memoising decorator is state that outlives every call ("no unbounded
+    # global cache"); results shared within one call live in a local dict
+    found, allowed = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        names = _cache_names(tree)
+        for node in ast.walk(tree):
+            if not any(_is_cache(d, names) for d in getattr(node, "decorator_list", ())):
+                continue
+            where = "%s.%s" % (path.stem, node.name)
+            if where in CACHE_ALLOWED:
+                allowed.add(where)
+            else:
+                found.append("%s:%d %s" % (path.name, node.lineno, node.name))
+    assert not found, found
+    # an entry whose cache is gone must leave the list too
+    assert allowed == CACHE_ALLOWED

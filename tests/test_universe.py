@@ -12,7 +12,7 @@ from itertools import combinations
 
 from lemmas import (lattice_of_sets, m3_universe, max_and_closely_related_report,
                     n5_universe)
-from oracles import check_universe_elementwise, elements_over
+from oracles import check_universe_elementwise, elements_over, reference_maximal
 from tangletree.distinguish import build_efficient_nested_set
 from tangletree.errors import (HypothesisFailure, NonDistributive, NotInSystem,
                                ParseError)
@@ -23,7 +23,7 @@ from tangletree.tangles import (CoverFamily, Orientation, StarFamily,
                                 closely_related, f_tangles, is_profile,
                                 star_leq)
 from tangletree.trees import NestedSet, nodes
-from tangletree.universe import (Universe, UniverseElement, check_universe,
+from tangletree.universe import (Universe, UniverseElement, _maximal, check_universe,
                                  maximal_star_above, is_maximal_star,
                                  near_max_star, profile_nested_part,
                                  random_distributive_universe,
@@ -369,6 +369,21 @@ def test_near_max_star_certificates(seed):
         assert status["is_star"] and status["narrow"] and status["near_maximal"]
         for s in sp:
             assert closely_related(s, P)[0]
+
+
+def test_maximal_reads_the_table():
+    # on every profile of the 36 benchmark universes, and on parts of it
+    checked = 0
+    for seed in range(36):
+        u, S, ts = _profiles_with_crossings(seed)
+        T = S.table()
+        for P in ts:
+            members = list(P)
+            for elems in (members, members[::2], members[1::3],
+                          [x for x in members if not x.is_small], members[:1], []):
+                assert _maximal(T, elems) == reference_maximal(elems)
+                checked += 1
+    assert checked >= 36 * 6
 
 
 def test_near_max_star_above_sigma():
