@@ -8,10 +8,10 @@ class Graph:
     """A graph with one adjacency mask per vertex.
 
     `full` is the vertex mask of V, and `edge_masks` holds the vertex mask
-    of each edge in `edge_tuples()` order.  `separations` is the table of
-    registered separation members: every S_k that
-    `seps.enumerate_separations` builds on this graph registers its members
-    here, keyed by their (A, B) vertex masks.
+    of each edge in `edge_tuples()` order, built on first use.
+    `separations` is the table of registered separation members: every S_k
+    that `seps.enumerate_separations` builds on this graph registers its
+    members here, keyed by their (A, B) vertex masks.
     """
 
     __slots__ = ("n", "edges", "vertices", "full", "adj", "edge_masks", "separations",
@@ -34,9 +34,15 @@ class Graph:
         self.vertices = frozenset(range(n))
         self.full = (1 << n) - 1
         self.adj = tuple(adj)
-        self.edge_masks = tuple(map(vertex_mask, self.edge_tuples()))
         self.separations = {}
         self._hash = hash((n, edges))
+
+    def __getattr__(self, name):
+        # reached only while the edge_masks slot is unset
+        if name != "edge_masks":
+            raise AttributeError(name)
+        self.edge_masks = masks = tuple(map(vertex_mask, self.edge_tuples()))
+        return masks
 
     def edge_tuples(self):
         return sorted(tuple(sorted(e)) for e in self.edges)

@@ -272,13 +272,12 @@ def load_tree_decomposition(path):
 def save_universe(U, path, seed=None):
     """Table form, every element under its name, read off the universe's
     own tables by element number."""
-    names, order, up = U.ids, U._order, U._up
-    n = len(names)
+    names, order = U.ids, U._order
     obj = _header("universe", seed)
     obj["backend"] = "table-driven"
     obj["elements"] = [x.name for x in U]
     obj["leq"] = sorted([names[i], names[j]]
-                        for i in range(n) for j in mask_bits(up[i] & ~(1 << i)))
+                        for i, up in enumerate(U._up) for j in mask_bits(up & ~(1 << i)))
     obj["inv"] = dict(zip(names, (names[t] for t in U._inv)))
     for key, table in (("meet", U._meet), ("join", U._join)):
         obj[key] = sorted([names[i], names[j], names[c]]
