@@ -182,25 +182,30 @@ def _parser():
     p = argparse.ArgumentParser(prog="tangletree")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, graph=True):
+    options = {"--family": {"default": "Tk"},
+               "--max-vertices": {"type": int, "default": MAX_VERTICES},
+               "--max-system": {"type": int, "default": MAX_SYSTEM}}
+
+    def common(sp, graph=True, reads=tuple(options)):
+        """--graph and --k for a graph command, the `options` it reads, and
+        --seed and --out."""
         if graph:
             sp.add_argument("--graph", required=True)
             sp.add_argument("--k", type=int, required=True)
-        sp.add_argument("--family", default="Tk")
+        for name in reads:
+            sp.add_argument(name, **options[name])
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--max-vertices", type=int, default=MAX_VERTICES)
-        sp.add_argument("--max-system", type=int, default=MAX_SYSTEM)
         sp.add_argument("--out", default=".")
 
     common(sub.add_parser("tangles"))
     common(sub.add_parser("tot"))
     common(sub.add_parser("refine"))
     sp = sub.add_parser("verify")
-    common(sp)
+    common(sp, reads=("--max-vertices", "--max-system"))
     sp.add_argument("--td", required=True)
-    common(sub.add_parser("blocks"))
+    common(sub.add_parser("blocks"), reads=("--max-vertices",))
     sp = sub.add_parser("abstract")
-    common(sp, graph=False)
+    common(sp, graph=False, reads=("--family",))
     sp.add_argument("--universe", required=True)
     sp.add_argument("--system", default=None)
     sp = sub.add_parser("export-dot")

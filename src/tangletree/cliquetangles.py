@@ -223,12 +223,13 @@ class CliqueCover:
         G, k = self.G, self.k
         sides = [s.a for s in chosen]
         slacks = [self.slack(s) for s in chosen]
-        missing = list(set(G.vertices) - set().union(*(s.A for s in chosen)))
-        if len(missing) > sum(slacks) + wilds * (k - 1):
+        missing = G.full
+        for a in sides:
+            missing &= ~a
+        if missing.bit_count() > sum(slacks) + wilds * (k - 1):
             return None
-        missing_mask = vertex_mask(missing)
         items = [m for m in G.edge_masks if all(m & ~a for a in sides)]
-        items += [1 << v for v in missing]
+        items += [1 << v for v in mask_bits(missing)]
         cliques = [(c, c.bit_count()) for c in self._clique_masks]
         pads = [0] * len(sides)
         wild = [0] * wilds
@@ -263,7 +264,7 @@ class CliqueCover:
             placed = 0
             for p in pads + wild:
                 placed |= p
-            if room < (missing_mask & ~placed).bit_count():
+            if room < (missing & ~placed).bit_count():
                 return False
             for c, size in cliques:
                 caps = [(c & h).bit_count() + sl - p.bit_count()

@@ -225,10 +225,10 @@ def load_nested_set(path, S):
 
 def _nested_set(S, members):
     """The nested set of the given members; one outside S is a ParseError."""
-    outside = [s for s in members if s not in S]
-    if outside:
-        raise ParseError("members %r are not in the system" % (outside,))
-    return NestedSet(S, members)
+    try:
+        return NestedSet(S, members)
+    except NotInSystem as e:
+        raise ParseError(str(e))
 
 
 # ------------------------------------------------------- tree-decompositions

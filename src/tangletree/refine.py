@@ -335,18 +335,13 @@ def refine_inessential(sigma, F, S, tangles):
         alpha[(leaf, host)] = s
         alpha[(host, leaf)] = s.inv
     tree = STree(stars, edges, alpha)
-    # certificate: leaves carry sigma, internal stars lie in F
+    # certificate: leaves carry sigma, and the stars before those leaves,
+    # which come last, lie in F
     leaf_seps = set(tree.leaf_separations())
     for s in sigma:
         if s not in leaf_seps:
             raise VerificationFailed("input member %r is not a leaf separation" % (s,))
-    deg = {}
-    for (i, j) in tree.edges:
-        deg[i] = deg.get(i, 0) + 1
-        deg[j] = deg.get(j, 0) + 1
-    for i, st in enumerate(tree.stars):
-        if st in ({frozenset({s.inv}) for s in sigma}) and deg.get(i, 0) == 1:
-            continue
+    for st in tree.stars[:len(tree.stars) - len(sigma)]:
         if st not in F:
             raise VerificationFailed("internal star not in the family: %r" % (sorted(st),))
     return tree
@@ -430,15 +425,13 @@ def _refine(S, F, N_tilde, ts, step, keep=()):
     in keep stay as they are.
 
     Certifies that N refines N_tilde and that every inessential node lies
-    in F.  Returns (N, tree, homes): the refined nested set, its S-tree, and
-    per node of the tree its tangle, or None.
+    in F.  Returns (N, tree): the refined nested set and its S-tree.
     """
     t0 = to_stree(N_tilde)
     stars = dict(enumerate(t0.stars))
     alpha = dict(t0.alpha)
     next_id = len(stars)
     status = {i: "kept" if st in keep else "pending" for i, st in stars.items()}
-    home = {}
     from_essential = set()
 
     def splice(t, local, inside):
@@ -488,14 +481,12 @@ def _refine(S, F, N_tilde, ts, step, keep=()):
         target, added = step(st, tau)
         if target == st:
             status[t] = "essential"
-            home[t] = tau
             continue
         local = to_stree(NestedSet(S, set(st) | set(added)))
         inside = [i for i, x in enumerate(local.stars) if not any(s.inv in x for s in st)]
         for i in splice(t, local, inside):
             if stars[i] == target:
                 status[i] = "essential"
-                home[i] = tau
             else:
                 status[i] = "pending"
                 from_essential.add(i)
@@ -506,12 +497,12 @@ def _refine(S, F, N_tilde, ts, step, keep=()):
     edges = {(min(a, b), max(a, b)) for (a, b) in final_alpha}
     tree = STree([stars[i] for i in order], edges, final_alpha)
     N = NestedSet(S, final_alpha.values())
-    if not N_tilde.members <= N.members:
+    if N_tilde.bits & ~N.bits:
         raise VerificationFailed("the refinement dropped a premise separation")
     for i in order:
         if status[i] == "inessential" and stars[i] not in F:
             raise VerificationFailed("inessential node %r is not in F" % (sorted(stars[i]),))
-    return N, tree, [home.get(i) for i in order]
+    return N, tree
 
 
 def theorem_1_2(G, F, N_tilde, tangles=None):
@@ -539,9 +530,9 @@ def theorem_1_2(G, F, N_tilde, tangles=None):
         return sig2, sig2
 
     try:
-        N, tree, _ = _refine(S, F, N_tilde, table.tangles, step)
+        N, tree = _refine(S, F, N_tilde, table.tangles, step)
     except SearchExhausted:
-        if (table.tangles or N_tilde.members or not isinstance(F, CoverFamily)
+        if (table.tangles or N_tilde.bits or not isinstance(F, CoverFamily)
                 or G.n >= F.k):
             raise
         N, bags, edges = N_tilde, [G.vertices], []

@@ -31,7 +31,9 @@ class OrientedSeparation:
     so `inv` is a slot read and a join or meet inside S_k returns the
     member.  Any other (A, B) is a fresh object that is not registered; its
     inverse is cached one way only.  `inv`, `sort_key`, the hash and the
-    vertex sets `A` and `B` are filled in on first use.
+    vertex sets `A` and `B` are filled in on first use.  The hash reads the
+    masks alone: equal separations have equal masks, and `__eq__` compares
+    the graphs.
     """
 
     __slots__ = ("graph", "a", "b", "order", "inv", "sort_key", "A", "B", "_hash")
@@ -47,7 +49,7 @@ class OrientedSeparation:
             ta, tb = tuple(mask_bits(self.a)), tuple(mask_bits(self.b))
             value = (self.order, len(ta), ta, tb)
         elif name == "_hash":
-            value = hash((self.graph, mask_vertices(self.a), mask_vertices(self.b)))
+            value = hash((self.a, self.b))
         elif name == "A":
             value = mask_vertices(self.a)
         elif name == "B":

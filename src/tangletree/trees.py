@@ -1,84 +1,85 @@
 """Nested sets, splitting stars, S-trees and tree-decompositions."""
 
-from itertools import combinations
-
-from .errors import Irregular, NotNested, VerificationFailed
-from .seps import canonical, nested, separation
-from .tangles import interior, same_separation
+from .errors import Irregular, NotInSystem, NotNested, VerificationFailed
+from .graphs import mask_bits
+from .seps import canonical, separation
+from .tangles import interior
 
 
 class NestedSet:
-    """Pairwise nested unoriented separations, canonical members."""
+    """Pairwise nested unoriented separations, held as the bitset `bits` of
+    their canonical members over the system's `IndexTable`; iteration
+    follows the table's order.
 
-    __slots__ = ("system", "members", "_hash")
+    Member j is nested with member i when j lies in up[i], down[i],
+    upinv[i] or up[i*], the last being {x : x* <= i}.
+    """
+
+    __slots__ = ("system", "bits")
 
     def __init__(self, system, members):
-        members = frozenset(canonical(s) for s in members)
-        lst = sorted(members, key=lambda s: s.sort_key)
-        for a, b in combinations(lst, 2):
-            if not nested(a, b):
-                raise NotNested("%r crosses %r" % (a, b))
+        T = system.table()
+        bits = 0
+        for s in members:
+            i = T.find(s)
+            if i is None:
+                raise NotInSystem("%r is not in the system" % (s,))
+            bits |= 1 << min(i, T.inv[i])
+        for i in mask_bits(bits):
+            cross = bits & ~(T.up[i] | T.down[i] | T.upinv[i] | T.up[T.inv[i]])
+            if cross:
+                j = (cross & -cross).bit_length() - 1
+                raise NotNested("%r crosses %r" % (T.members[i], T.members[j]))
         self.system = system
-        self.members = members
-        self._hash = hash((system, members))
-
-    def oriented(self):
-        out = set()
-        for s in self.members:
-            out.add(s)
-            out.add(s.inv)
-        return out
+        self.bits = bits
 
     def __iter__(self):
-        return iter(sorted(self.members, key=lambda s: s.sort_key))
+        members = self.system.table().members
+        return iter([members[i] for i in mask_bits(self.bits)])
 
     def __len__(self):
-        return len(self.members)
-
-    def __contains__(self, s):
-        return canonical(s) in self.members
-
-    def __eq__(self, other):
-        return (isinstance(other, NestedSet)
-                and self.system == other.system and self.members == other.members)
-
-    def __hash__(self):
-        return self._hash
+        return self.bits.bit_count()
 
     def __repr__(self):
-        return "NestedSet(%d members)" % len(self.members)
+        return "NestedSet(%d members)" % len(self)
 
 
 def check_regular(N):
-    """Reject degenerate, small-oriented and trivial-within-N members."""
-    oriented = N.oriented()
-    for s in N:
-        if s.is_degenerate:
-            raise Irregular("degenerate member %r" % (s,))
-        if s.is_small or s.is_cosmall:
-            raise Irregular("small member %r" % (s,))
-    for s in oriented:
-        for t in oriented:
-            if same_separation(s, t):
-                continue
-            if s.leq(t) and s != t and s.leq(t.inv) and s != t.inv:
-                raise Irregular("member %r trivial within the set" % (s,))
+    """Reject degenerate, small-oriented and trivial-within-N members;
+    return the bitset of N's members and their inverses."""
+    T = N.system.table()
+    oriented = N.bits
+    for i in mask_bits(N.bits):
+        if T.inv[i] == i:
+            raise Irregular("degenerate member %r" % (T.members[i],))
+        if not T.proper >> i & 1:
+            raise Irregular("small member %r" % (T.members[i],))
+        oriented |= 1 << T.inv[i]
+    for i in mask_bits(oriented):
+        if T.up[i] & T.upinv[i] & oriented & ~(1 << i | 1 << T.inv[i]):
+            raise Irregular("member %r trivial within the set" % (T.members[i],))
+    return oriented
 
 
 def nodes(N):
-    """Splitting stars of a regular nested set, sorted."""
-    check_regular(N)
-    oriented = sorted(N.oriented(), key=lambda s: s.sort_key)
+    """Splitting stars of a regular nested set, sorted: the star of an
+    oriented member s is s plus the inverse of each minimal member above
+    it, other than s*."""
+    oriented = check_regular(N)
     if not oriented:
         return [frozenset()]
+    T = N.system.table()
+    up, down, inv = T.up, T.down, T.inv
     stars = set()
-    for s in oriented:
-        above = [t for t in oriented
-                 if not same_separation(s, t) and s.leq(t) and s != t]
-        minimal = [t for t in above
-                   if not any(u != t and u.leq(t) for u in above)]
-        stars.add(frozenset([s] + [t.inv for t in minimal]))
-    return sorted(stars, key=lambda st: sorted(s.sort_key for s in st))
+    for s in mask_bits(oriented):
+        above = up[s] & oriented & ~(1 << s | 1 << inv[s])
+        star = 1 << s
+        for t in mask_bits(above):
+            if down[t] & above == 1 << t:
+                star |= 1 << inv[t]
+        stars.add(star)
+    return [frozenset(T.members[i] for i in mask_bits(st))
+            for st in sorted(stars, key=mask_bits)]
 
 
 class STree:
@@ -108,29 +109,20 @@ class STree:
                 out.append(self.alpha[(j, i)])
         return sorted(out, key=lambda s: s.sort_key)
 
-    def separations(self):
-        return sorted({canonical(self.alpha[e]) for e in self.alpha},
-                      key=lambda s: s.sort_key)
-
-    def __len__(self):
-        return len(self.stars)
-
 
 def to_stree(N):
     """Unique S-tree of a regular tree set: vertices are the nodes."""
     stars = nodes(N)
-    index = {st: i for i, st in enumerate(stars)}
+    node = {}
+    for i, st in enumerate(stars):
+        for s in st:
+            if node.setdefault(s, i) != i:
+                raise VerificationFailed("member %r lies in two nodes" % (s,))
     edges = set()
     alpha = {}
-    for s in N.oriented():
-        home = [st for st in stars if s in st]
-        if len(home) != 1:
-            raise VerificationFailed("member %r lies in %d nodes" % (s, len(home)))
     for s in N:
-        j = index[next(st for st in stars if s in st)]
-        i = index[next(st for st in stars if s.inv in st)]
-        a, b = min(i, j), max(i, j)
-        edges.add((a, b))
+        j, i = node[s], node[s.inv]
+        edges.add((min(i, j), max(i, j)))
         alpha[(i, j)] = s
         alpha[(j, i)] = s.inv
     tree = STree(stars, edges, alpha)
@@ -231,10 +223,6 @@ class TreeDecomposition:
                 return False, ("disconnected-trace", v)
         return True, None
 
-    def __eq__(self, other):
-        return (isinstance(other, TreeDecomposition) and self.graph == other.graph
-                and self.bags == other.bags and self.edges == other.edges)
-
     def __repr__(self):
         return "TreeDecomposition(%d bags)" % len(self.bags)
 
@@ -249,6 +237,6 @@ def to_tree_decomposition(N, G):
         raise VerificationFailed("interior bags do not form a tree-decomposition: %r" % (w,))
     induced = td.induced_separations()
     got = {canonical(s) for s in induced.values()}
-    if got != set(N.members):
+    if got != set(N):
         raise VerificationFailed("round trip failed: induced separations differ")
     return td

@@ -829,8 +829,8 @@ def refine_essential_abstract(sigma, P, F, tangles):
     if len(owners) != 1 or owners[0] != P:
         raise HypothesisFailure("sigma must be home to exactly the given tangle")
     leaves = {frozenset({s.inv}) for s in sigma}
-    _, tree, _ = _refine(S, F, NestedSet(S, sigma), ts, _maximal_step(S, F, ts),
-                         keep=leaves)
+    _, tree = _refine(S, F, NestedSet(S, sigma), ts, _maximal_step(S, F, ts),
+                      keep=leaves)
     leaf = set(tree.leaf_separations())
     for s in sigma:
         if s not in leaf:
@@ -850,16 +850,7 @@ def theorem_1_3(S, F, N_tilde, tangles=None):
     _premise(N_tilde, ts, lambda s: is_good(s, ts)[0])
     if ts:
         _require_friendly(S, F)
-    N, tree, homes = _refine(S, F, N_tilde, ts, _maximal_step(S, F, ts))
-    # _maximal_step listed the stars of every home P, so the cap holds here
-    for node, P in zip(tree.stars, homes):
-        if P is None:
-            continue
-        ok, w = is_maximal_star(node, P)
-        if not ok:
-            raise VerificationFailed(
-                "essential node %r is exceeded by %r" % (sorted(node), sorted(w)))
-    return N
+    return _refine(S, F, N_tilde, ts, _maximal_step(S, F, ts))[0]
 
 
 # ---------------------------------------------------------------- generators

@@ -247,7 +247,7 @@ def brute_force_f_tangles(S, F, limit=18):
 def nodes_by_orientation(N):
     """Splitting stars of a nested set as the maximal members of its consistent
     orientations, sorted; the reference for `trees.nodes`."""
-    sub = SeparationSystem(N.system.ground, frozenset(N.oriented()))
+    sub = SeparationSystem(N.system.ground, frozenset(x for s in N for x in (s, s.inv)))
     members = sub.table().members
 
     def prune(bits, y):
@@ -421,7 +421,7 @@ def reference_cover_search(cov, chosen, wilds):
 
     def rec(edges):
         edges = [e for e in edges if not satisfied(e)]
-        left = [v for v in missing if not satisfied((v,))]
+        left = [v for v in sorted(missing) if not satisfied((v,))]
         if not edges and not left:
             return True
         if capacity_left() < 0:

@@ -225,7 +225,7 @@ def test_criterion_6_oracle_equivalences():
     compared = 0
     for seed in range(40):
         N = _random_nested_set(seed)
-        if N is None or not N.members:
+        if N is None or not len(N):
             continue
         assert nodes(N) == nodes_by_orientation(N)
         compared += 1

@@ -128,7 +128,7 @@ def test_refine_keeps_a_graph_with_fewer_than_k_vertices_as_one_bag(tmp_path, n,
     assert td["nodes"] == [{"bag": list(range(n)), "id": 0}] and td["edges"] == []
     N, TD = refine.theorem_1_2(complete_graph(n), CoverFamily(complete_graph(n), k),
                                NestedSet(enumerate_separations(complete_graph(n), k), []))
-    assert not N.members and TD.bags == [frozenset(range(n))] and not TD.edges
+    assert not len(N) and TD.bags == [frozenset(range(n))] and not TD.edges
 
 
 def test_blocks_subcommand(tmp_path, twin_graph):
@@ -137,6 +137,23 @@ def test_blocks_subcommand(tmp_path, twin_graph):
                     "--out", str(out)]) == 0
     rep = _read(out / "blocks.json")["report"]
     assert [b["vertices"] for b in rep["blocks"]] == [[0, 1, 2, 3], [4, 5, 6, 7]]
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("verify", ["--family", "Tk"]),
+    ("blocks", ["--family", "Tk"]),
+    ("blocks", ["--max-system", "10"]),
+    ("abstract", ["--max-vertices", "10"]),
+    ("abstract", ["--max-system", "10"])])
+def test_a_flag_the_command_does_not_read_is_rejected(tmp_path, twin_graph, capsys,
+                                                      command, flag):
+    required = {"verify": ["--graph", twin_graph, "--k", "3", "--td", "td.json"],
+                "blocks": ["--graph", twin_graph, "--k", "3"],
+                "abstract": ["--universe", "u.json"]}[command]
+    with pytest.raises(SystemExit) as e:
+        cli.run([command, *required, *flag, "--out", str(tmp_path)])
+    assert e.value.code == 2
+    assert "unrecognized arguments: %s" % " ".join(flag) in capsys.readouterr().err
 
 
 def test_abstract_subcommand(tmp_path):

@@ -5,12 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
+from tangletree import distinguish
 from tangletree.distinguish import (DistinguisherTable,
                                     build_efficient_nested_set, verify_premise)
-from tangletree.errors import NoTangles
+from tangletree.errors import NoTangles, VerificationFailed
 from tangletree.examples import bridged_cliques, satellite_cliques
-from tangletree.seps import enumerate_separations
-from tangletree.tangles import CoverFamily, f_tangles
+from tangletree.graphs import cycle_graph
+from tangletree.seps import enumerate_separations, separation
+from tangletree.tangles import (CoverFamily, Orientation, _backtrack_orientations,
+                                f_tangles)
 
 
 def test_no_tangles_raises():
@@ -60,3 +63,34 @@ def test_premise_on_random_graphs(seed, k):
     N = build_efficient_nested_set(ts, S)
     rep = verify_premise(N, ts)
     assert rep["distinguishes_all"] and rep["each_member_efficient"]
+
+
+def _cycle_orientations():
+    """S_3 of the 6-cycle and its 32 consistent orientations, by bits."""
+    S = enumerate_separations(cycle_graph(6), 3)
+    incons = S.table().incons
+    found = _backtrack_orientations(S, lambda bits, y: bool(bits & incons[y]))
+    return S, [Orientation(S, bits) for bits in sorted(found)]
+
+
+def test_corner_uncrossing_replaces_crossing_candidates(monkeypatch):
+    # the efficient distinguisher of the last pair crosses the member
+    # chosen before it, so the loop orients that member into both tangles
+    # of the pair and takes one corner
+    S, os_ = _cycle_orientations()
+    assert len(os_) == 32
+    calls = []
+    orient = distinguish._orient_into
+    monkeypatch.setattr(distinguish, "_orient_into",
+                        lambda t, P: calls.append(t) or orient(t, P))
+    N = build_efficient_nested_set([os_[8], os_[9], os_[13]], S)
+    assert len(calls) == 2
+    G = S.ground
+    assert list(N) == [separation(G, {2, 3, 4}, {0, 1, 2, 4, 5}),
+                       separation(G, {0, 1, 2, 5}, {2, 3, 4, 5})]
+
+
+def test_corner_uncrossing_rejects_orientations_that_are_not_profiles():
+    S, os_ = _cycle_orientations()
+    with pytest.raises(VerificationFailed, match="corner replacement lost efficiency"):
+        build_efficient_nested_set(os_, S)

@@ -137,7 +137,7 @@ def test_nested_set_round_trip(tmp_path, twin):
     text = save_nested_set(N, p, annotations=ann)
     assert json.loads(text)["distinguishes"] == [[0, 1]] * len(N)
     N2 = load_nested_set(p, S)
-    assert N2.members == N.members
+    assert set(N2) == set(N)
 
 
 def test_tree_decomposition_round_trip(tmp_path, twin):
@@ -226,7 +226,7 @@ def test_abstract_round_trips(tmp_path):
     N = NestedSet(S, members)
     save_abstract_nested_set(N, p)
     N2 = load_abstract_nested_set(p, S)
-    assert N2.members == N.members
+    assert set(N2) == set(N)
 
 
 def _write(path, obj):

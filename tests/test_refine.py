@@ -115,7 +115,7 @@ def test_pipeline_on_twin_cliques():
     F = CoverFamily(G, 3)
     Nt = build_efficient_nested_set(ts, S)
     N, TD = theorem_1_2(G, F, Nt, tangles=ts)
-    assert Nt.members <= N.members
+    assert set(Nt) <= set(N)
     bags = sorted(sorted(b) for b in TD.bags)
     assert [0, 1, 2, 3] in bags and [4, 5, 6, 7] in bags
     for b in TD.bags:

@@ -6,15 +6,19 @@ from hypothesis import strategies as st
 
 from conftest import random_graph
 from oracles import nodes_by_orientation
+from tangletree import seps
 from tangletree.blocks import verify_theorem_4_8
 from tangletree.distinguish import build_efficient_nested_set
 from tangletree.errors import Irregular, NotNested
-from tangletree.examples import bridged_cliques
+from tangletree.examples import bridged_cliques, satellite_cliques
 from tangletree.graphs import path_graph
-from tangletree.seps import canonical, enumerate_separations, nested, separation
+from tangletree.seps import (OrientedSeparation, canonical, enumerate_separations,
+                             nested, separation)
 from tangletree.tangles import CoverFamily, f_tangles
 from tangletree.trees import (NestedSet, TreeDecomposition, check_regular,
                               nodes, to_stree, to_tree_decomposition)
+from tangletree.universe import (UniverseElement, random_distributive_universe,
+                                 t_tilde_star, theorem_1_3)
 
 
 def _random_nested_set(seed, k=3):
@@ -80,7 +84,7 @@ def test_nodes_empty_and_singleton():
 @given(st.integers(0, 10_000))
 def test_nodes_structural_matches_orientation(seed):
     N = _random_nested_set(seed)
-    if N is None or not N.members:
+    if N is None or not len(N):
         return
     assert nodes(N) == nodes_by_orientation(N)
 
@@ -89,13 +93,13 @@ def test_nodes_structural_matches_orientation(seed):
 @given(st.integers(0, 10_000))
 def test_stree_round_trip(seed):
     N = _random_nested_set(seed)
-    if N is None or not N.members:
+    if N is None or not len(N):
         return
     T = to_stree(N)
     assert len(T.stars) == len(N) + 1
-    assert {canonical(x) for x in T.alpha.values()} == set(N.members)
+    assert {canonical(x) for x in T.alpha.values()} == set(N)
     # every oriented member sits in exactly one node
-    for s in N.oriented():
+    for s in [x for t in N for x in (t, t.inv)]:
         assert sum(1 for star in T.stars if s in star) == 1
 
 
@@ -124,3 +128,30 @@ def test_td_validity_witnesses():
     assert TD.is_valid() == (False, ("not-a-tree", [(0, 1), (0, 1)]))
     TD = TreeDecomposition(G, [{0, 1}], [(0, 0)])
     assert TD.is_valid() == (False, ("not-a-tree", [(0, 0)]))
+
+
+def test_nested_sets_read_the_table_and_make_no_element_comparison(monkeypatch):
+    # the efficient nested set of a graph's three tangles and a universe's
+    # refined nested set, with the splitting stars the element-wise
+    # reference finds
+    G = satellite_cliques(4, 2)
+    S = enumerate_separations(G, 3)
+    graph_N = build_efficient_nested_set(f_tangles(S, CoverFamily(G, 3)), S)
+    S = random_distributive_universe(0).system()
+    F = t_tilde_star(S)
+    ts = f_tangles(S, F)
+    universe_N = theorem_1_3(S, F, build_efficient_nested_set(ts, S), tangles=ts)
+    cases = [(N, nodes_by_orientation(N)) for N in (graph_N, universe_N)]
+
+    def forbidden(*args):
+        raise AssertionError("element comparison")
+
+    for cls in (OrientedSeparation, UniverseElement):
+        monkeypatch.setattr(cls, "leq", forbidden)
+    monkeypatch.setattr(seps, "compare", forbidden)
+    for N, want in cases:
+        assert len(N) > 1
+        N = NestedSet(N.system, list(N))
+        check_regular(N)
+        assert nodes(N) == want
+        assert len(to_stree(N).stars) == len(N) + 1
