@@ -166,10 +166,7 @@ def verify_theorem_4_8(G, k, TD, tangles):
     seps = {canonical(s) for s in induced.values()}
     for (i, j) in table.pairs():
         m = table[(i, j)]["min_order"]
-        if m is None:
-            report["efficient"] = False
-            report["witnesses"].setdefault("indistinguishable", (i, j))
-        elif not any(s.order == m and distinguishes(s, ts[i], ts[j]) for s in seps):
+        if not any(s.order == m and distinguishes(s, ts[i], ts[j]) for s in seps):
             report["efficient"] = False
             report["witnesses"].setdefault("inefficient_pair", (i, j))
     for t, bag in enumerate(TD.bags):

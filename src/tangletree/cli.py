@@ -11,7 +11,7 @@ import sys
 
 from . import io as tio
 from .errors import (HypothesisFailure, NoTangles, NotACover, ParseError,
-                     TangletreeError, TooLarge, VerificationFailed)
+                     TangletreeError, TooLarge)
 from .seps import MAX_SYSTEM, MAX_VERTICES, enumerate_separations
 from .tangles import CoverFamily, f_tangles, profile_stand_in_family, regular_profiles
 
@@ -65,21 +65,22 @@ def cmd_tangles(args):
     return EXIT_OK
 
 
-def _premise(args, S, F):
+def _premise(S, tangles):
+    """The distinguisher table of the tangles and the nested set N~ that
+    distinguishes them; N~ is empty for fewer than two tangles."""
     from .distinguish import DistinguisherTable, build_efficient_nested_set
     from .trees import NestedSet
-    ts = DistinguisherTable(_tangles_of(S, F, args.family))
+    ts = DistinguisherTable(tangles)
     if len(ts) < 2:
-        return ts, NestedSet(S, []), {}
-    Nt = build_efficient_nested_set(ts, S)
-    # build_efficient_nested_set certifies every member efficient
-    notes = {s: ts.efficient_pair(s) for s in Nt}
-    return ts, Nt, notes
+        return ts, NestedSet(S, [])
+    return ts, build_efficient_nested_set(ts, S)
 
 
 def cmd_tot(args):
     G, S, F = _setup(args)
-    ts, Nt, notes = _premise(args, S, F)
+    ts, Nt = _premise(S, _tangles_of(S, F, args.family))
+    # build_efficient_nested_set certifies every member efficient
+    notes = {s: ts.efficient_pair(s) for s in Nt}
     tio.save_nested_set(Nt, _out(args, "nested.json"), seed=args.seed,
                         annotations=notes)
     print("nested set: %d members distinguishing %d tangles" % (len(Nt), len(ts)))
@@ -89,7 +90,7 @@ def cmd_tot(args):
 def cmd_refine(args):
     from .refine import theorem_1_2
     G, S, F = _setup(args)
-    ts, Nt, _ = _premise(args, S, F)
+    ts, Nt = _premise(S, _tangles_of(S, F, args.family))
     N, TD = theorem_1_2(G, F, Nt, tangles=ts)
     tio.save_nested_set(N, _out(args, "refined.json"), seed=args.seed)
     tio.save_tree_decomposition(TD, _out(args, "td.json"), seed=args.seed)
@@ -138,8 +139,6 @@ def cmd_blocks(args):
 
 
 def cmd_abstract(args):
-    from .distinguish import DistinguisherTable, build_efficient_nested_set
-    from .trees import NestedSet
     from .universe import require_lattice, t_tilde_star, theorem_1_3
     U = tio.load_universe(args.universe)
     try:
@@ -154,10 +153,9 @@ def cmd_abstract(args):
         F = tio.load_abstract_star_family(args.family[len("file:"):], U)
     else:
         F = t_tilde_star(S)
-    ts = DistinguisherTable(f_tangles(S, F))
+    ts, Nt = _premise(S, f_tangles(S, F))
     if len(ts) == 0:
         raise NoTangles("the universe has no tangles for this family")
-    Nt = build_efficient_nested_set(ts, S) if len(ts) > 1 else NestedSet(S, [])
     N = theorem_1_3(S, F, Nt, tangles=ts)
     tio.save_abstract_nested_set(N, _out(args, "refined.json"), seed=args.seed)
     print("abstract: %d tangles, %d separations" % (len(ts), len(N)))
@@ -240,7 +238,7 @@ def run(argv=None):
     except (ParseError, NotACover, FileNotFoundError, NoTangles) as e:
         print("input error: %s" % (e,), file=sys.stderr)
         return EXIT_INPUT
-    except (VerificationFailed, TangletreeError) as e:
+    except TangletreeError as e:
         print("verification failure: %s" % (e,), file=sys.stderr)
         return EXIT_VERIFY
 

@@ -1,6 +1,6 @@
 """Build a nested set of efficient distinguishers for a set of tangles."""
 
-from .errors import NoTangles, VerificationFailed
+from .errors import HypothesisFailure, NoTangles, VerificationFailed
 from .seps import canonical, nested
 from .tangles import distinguishers, distinguishes
 from .trees import NestedSet
@@ -8,7 +8,9 @@ from .trees import NestedSet
 
 class DistinguisherTable:
     """A tangle set with, per tangle pair, the minimum distinguishing order
-    and the efficient distinguishers; iterates over the tangles."""
+    and the efficient distinguishers; iterates over the tangles.  Raises
+    VerificationFailed for a pair that nothing distinguishes, which only
+    tangles of two different systems can be."""
 
     def __init__(self, tangles):
         self.tangles = list(tangles)
@@ -17,8 +19,10 @@ class DistinguisherTable:
         for i in range(n):
             for j in range(i + 1, n):
                 _, eff = distinguishers(self.tangles[i], self.tangles[j])
-                self.table[(i, j)] = {"min_order": eff[0].order if eff else None,
-                                      "efficient": eff}
+                if not eff:
+                    raise VerificationFailed(
+                        "tangles %d and %d are not distinguishable in S" % (i, j))
+                self.table[(i, j)] = {"min_order": eff[0].order, "efficient": eff}
 
     @classmethod
     def of(cls, tangles):
@@ -71,16 +75,11 @@ def build_efficient_nested_set(tangles, S):
     ts = table.tangles
     if not ts:
         raise NoTangles("no tangles to distinguish")
-    order_pairs = sorted(
-        table.pairs(),
-        key=lambda p: (table[p]["min_order"] if table[p]["min_order"] is not None else -1, p))
+    order_pairs = sorted(table.pairs(), key=lambda p: (table[p]["min_order"], p))
     chosen = []
     budget = max(1, len(S)) ** 2
     for (i, j) in order_pairs:
         entry = table[(i, j)]
-        if entry["min_order"] is None:
-            raise VerificationFailed(
-                "tangles %d and %d are not distinguishable in S" % (i, j))
         P, Q = ts[i], ts[j]
         if any(distinguishes(t, P, Q) for t in chosen):
             continue
@@ -116,20 +115,36 @@ def build_efficient_nested_set(tangles, S):
     return N
 
 
-def verify_premise(N, tangles):
+def verify_premise(N, tangles, member_ok=None):
     """Premise of the refinement theorems for N and the given tangles: N
-    distinguishes every pair, and each member efficiently distinguishes one.
-    N is nested by construction."""
+    distinguishes every pair, and member_ok holds for each member, by
+    default that it efficiently distinguishes some pair.  With no tangles
+    the members are not checked.  N is nested by construction."""
     table = DistinguisherTable.of(tangles)
     ts = table.tangles
+    if member_ok is None:
+        def member_ok(s):
+            return table.efficient_pair(s) is not None
     report = {"distinguishes_all": True, "each_member_efficient": True,
               "witnesses": {}}
     for (i, j) in table.pairs():
         if not any(distinguishes(s, ts[i], ts[j]) for s in N):
             report["distinguishes_all"] = False
             report["witnesses"].setdefault("undistinguished", (i, j))
-    for s in N:
-        if table.efficient_pair(s) is None:
-            report["each_member_efficient"] = False
-            report["witnesses"].setdefault("inefficient", s)
+    if ts:
+        for s in N:
+            if not member_ok(s):
+                report["each_member_efficient"] = False
+                report["witnesses"].setdefault("inefficient", s)
     return report
+
+
+def require_premise(N, tangles, member_ok=None):
+    """verify_premise, raising HypothesisFailure at the first undistinguished
+    pair, else at the first member that fails member_ok."""
+    w = verify_premise(N, tangles, member_ok)["witnesses"]
+    if "undistinguished" in w:
+        raise HypothesisFailure(
+            "premise fails: tangles %d and %d are not distinguished" % w["undistinguished"])
+    if "inefficient" in w:
+        raise HypothesisFailure("premise fails for the member %r" % (w["inefficient"],))

@@ -53,14 +53,6 @@ class VerificationFailed(TangletreeError):
     pass
 
 
-class EmulationFailure(TangletreeError):
-    pass
-
-
-class OutOfDomain(TangletreeError):
-    pass
-
-
 class HypothesisFailure(TangletreeError):
     pass
 

@@ -1,15 +1,13 @@
 """Refinement: inessential-star refinement, minimal interior exclusive
 stars, and the one refinement driver of Theorems 1.2 and 1.3."""
 
-from itertools import combinations
-
 from .errors import (HypothesisFailure, NotExclusiveAnywhere, SearchExhausted,
                      TooLarge, VerificationFailed)
-from .distinguish import DistinguisherTable
+from .distinguish import DistinguisherTable, require_premise
 from .graphs import mask_bits
 from .seps import from_masks
-from .tangles import (CoverFamily, check_star, closely_related, distinguishes,
-                      f_tangles, interior, star_leq)
+from .tangles import (CoverFamily, check_star, closely_related, f_tangles,
+                      interior, star_leq)
 from .trees import STree, NestedSet, TreeDecomposition, to_stree
 
 
@@ -399,20 +397,7 @@ def min_interior_exclusive_star(tau, sigma, tangles):
 # ------------------------------------------------------------- pipeline
 
 
-def _premise(N_tilde, ts, member_ok):
-    """Premise of the refinement theorems: N_tilde distinguishes every pair
-    of the tangles ts, and member_ok holds for each of its members."""
-    for i, j in combinations(range(len(ts)), 2):
-        if not any(distinguishes(s, ts[i], ts[j]) for s in N_tilde):
-            raise HypothesisFailure(
-                "premise fails: tangles %d and %d are not distinguished" % (i, j))
-    if ts:
-        for s in N_tilde:
-            if not member_ok(s):
-                raise HypothesisFailure("premise fails for the member %r" % (s,))
-
-
-def _refine(S, F, N_tilde, ts, step, keep=()):
+def _refine(S, F, N_tilde, ts, step):
     """The refinement loop of Theorems 1.2 and 1.3, on a working S-tree.
 
     Starts from the S-tree of N_tilde and visits its nodes by id.  A node
@@ -421,8 +406,7 @@ def _refine(S, F, N_tilde, ts, step, keep=()):
     node's star plus those separations replace the node, the returned star
     is essential and every other new node is visited in turn.  A node home
     to no tangle is replaced by the S-tree of refine_inessential, unless an
-    essential step made it and it already lies in F.  Nodes whose star is
-    in keep stay as they are.
+    essential step made it and it already lies in F.
 
     Certifies that N refines N_tilde and that every inessential node lies
     in F.  Returns (N, tree): the refined nested set and its S-tree.
@@ -431,7 +415,7 @@ def _refine(S, F, N_tilde, ts, step, keep=()):
     stars = dict(enumerate(t0.stars))
     alpha = dict(t0.alpha)
     next_id = len(stars)
-    status = {i: "kept" if st in keep else "pending" for i, st in stars.items()}
+    status = dict.fromkeys(stars, "pending")
     from_essential = set()
 
     def splice(t, local, inside):
@@ -523,7 +507,7 @@ def theorem_1_2(G, F, N_tilde, tangles=None):
     """
     S = N_tilde.system
     table = DistinguisherTable.of(f_tangles(S, F) if tangles is None else tangles)
-    _premise(N_tilde, table.tangles, lambda s: table.efficient_pair(s) is not None)
+    require_premise(N_tilde, table)
 
     def step(st, tau):
         sig2 = min_interior_exclusive_star(tau, st, table)

@@ -9,8 +9,9 @@ from itertools import chain, combinations
 from .errors import (HypothesisFailure, NonDistributive, NotInSystem,
                      ParseError, StepBudgetExceeded, TooLarge,
                      VerificationFailed)
+from .distinguish import DistinguisherTable, require_premise
 from .graphs import mask_bits
-from .refine import _premise, _refine
+from .refine import _refine
 from .seps import SeparationSystem, nested
 from .tangles import (StarFamily, check_star, check_star_family,
                       closely_related, f_tangles, is_good, is_star,
@@ -815,29 +816,6 @@ def _maximal_step(S, F, ts):
     return step
 
 
-def refine_essential_abstract(sigma, P, F, tangles):
-    """S-tree refining the essential star sigma up to a maximal star in P.
-
-    The tree lies over F plus the maximal cap star plus the singleton
-    inverses of sigma's members, each of which appears as a leaf separation.
-    """
-    S = P.system
-    sigma = check_star(sigma)
-    _require_friendly(S, F)
-    ts = list(tangles)
-    owners = [Q for Q in ts if all(s in Q for s in sigma)]
-    if len(owners) != 1 or owners[0] != P:
-        raise HypothesisFailure("sigma must be home to exactly the given tangle")
-    leaves = {frozenset({s.inv}) for s in sigma}
-    _, tree = _refine(S, F, NestedSet(S, sigma), ts, _maximal_step(S, F, ts),
-                      keep=leaves)
-    leaf = set(tree.leaf_separations())
-    for s in sigma:
-        if s not in leaf:
-            raise VerificationFailed("%r is not a leaf separation" % (s,))
-    return tree
-
-
 def theorem_1_3(S, F, N_tilde, tangles=None):
     """Refine N_tilde so inessential nodes lie in F and essential nodes are
     maximal stars in their tangles; requires a distributive universe.
@@ -846,8 +824,9 @@ def theorem_1_3(S, F, N_tilde, tangles=None):
     """
     if isinstance(S.ground, Universe) and not require_lattice(S.ground)["distributive"]:
         raise NonDistributive("the refinement theorem needs a distributive universe")
-    ts = list(f_tangles(S, F) if tangles is None else tangles)
-    _premise(N_tilde, ts, lambda s: is_good(s, ts)[0])
+    table = DistinguisherTable.of(f_tangles(S, F) if tangles is None else tangles)
+    ts = table.tangles
+    require_premise(N_tilde, table, lambda s: is_good(s, ts)[0])
     if ts:
         _require_friendly(S, F)
     return _refine(S, F, N_tilde, ts, _maximal_step(S, F, ts))[0]

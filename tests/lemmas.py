@@ -1,8 +1,7 @@
 """Statements of the paper's lemmas that only the tests check, with the
 examples and the artifact writers that only the tests use."""
 
-from tangletree.errors import (EmulationFailure, HypothesisFailure, OutOfDomain,
-                               VerificationFailed)
+from tangletree.errors import HypothesisFailure, TangletreeError, VerificationFailed
 from tangletree.graphs import mask_bits, vertex_mask
 from tangletree.io import _dump, _header, _sep_out
 from tangletree.seps import nested
@@ -39,6 +38,14 @@ def guarded_infimum(s, M, assignments):
 
 
 # ------------------------------------------------------------------ shifting
+
+
+class EmulationFailure(TangletreeError):
+    pass
+
+
+class OutOfDomain(TangletreeError):
+    pass
 
 
 class ShiftContext:

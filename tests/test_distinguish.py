@@ -32,6 +32,23 @@ def test_table_symmetric_access():
     assert table[(0, 1)]["min_order"] == 1
 
 
+def test_table_rejects_a_pair_nothing_distinguishes():
+    # only orientations of two different systems can agree on every member
+    # one of them orients: here the k=3 orientation picks, wherever it can,
+    # the member number that P sets in the k=2 table
+    G = bridged_cliques(4)
+    P = f_tangles(enumerate_separations(G, 2), CoverFamily(G, 2))[0]
+    S3 = enumerate_separations(G, 3)
+    T = S3.table()
+    bits = 0
+    for i in T.reps:
+        j = T.inv[i]
+        bits |= 1 << (j if P.bits >> j & 1 and not P.bits >> i & 1 else i)
+    assert not P.bits & ~bits
+    with pytest.raises(VerificationFailed, match="tangles 0 and 1 are not distinguishable"):
+        DistinguisherTable([P, Orientation(S3, bits)])
+
+
 def test_premise_on_twin_cliques():
     G = bridged_cliques(4)
     S = enumerate_separations(G, 3)

@@ -1,15 +1,17 @@
 """Shifting, inessential refinement, minimal-interior stars and the pipeline."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
-from lemmas import (ShiftContext, closeness_repair, min_order_extension,
-                    nested_replacement)
+from lemmas import (OutOfDomain, ShiftContext, closeness_repair,
+                    min_order_extension, nested_replacement)
 from oracles import enumerate_stars
 from tangletree.distinguish import build_efficient_nested_set
-from tangletree.errors import HypothesisFailure, OutOfDomain
+from tangletree.errors import HypothesisFailure
 from tangletree.examples import bridged_cliques
 from tangletree.graphs import complete_graph, mask_bits, path_graph
 from tangletree.refine import (exclusive_stars, min_interior_exclusive_star,
@@ -120,6 +122,29 @@ def test_pipeline_on_twin_cliques():
     assert [0, 1, 2, 3] in bags and [4, 5, 6, 7] in bags
     for b in TD.bags:
         assert len(b) <= 6 or set(b) in ({0, 1, 2, 3}, {4, 5, 6, 7})
+
+
+def test_pipeline_premise_names_the_first_failure():
+    G, S, ts = _twin_setup()
+    F = CoverFamily(G, 3)
+    with pytest.raises(HypothesisFailure,
+                       match="premise fails: tangles 0 and 1 are not distinguished"):
+        theorem_1_2(G, F, NestedSet(S, []), tangles=ts)
+    extra = separation(G, {0, 1, 2, 3}, {0, 3, 4, 5, 6, 7})
+    Nt = NestedSet(S, set(build_efficient_nested_set(ts, S)) | {extra})
+    with pytest.raises(HypothesisFailure, match=re.escape(
+            "premise fails for the member ({0,1,2,3},{0,3,4,5,6,7})")):
+        theorem_1_2(G, F, Nt, tangles=ts)
+
+
+def test_pipeline_checks_no_member_without_tangles():
+    # with no tangle pair to distinguish, no member of N~ has to be efficient
+    G = path_graph(6)
+    S = enumerate_separations(G, 3)
+    F = CoverFamily(G, 3)
+    assert f_tangles(S, F) == []
+    N, TD = theorem_1_2(G, F, NestedSet(S, [separation(G, {0, 1}, {1, 2, 3, 4, 5})]))
+    assert (len(N), len(TD.bags)) == (11, 14)
 
 
 def test_pipeline_trivial_k():

@@ -88,3 +88,21 @@ def test_no_module_level_cache():
     assert not found, found
     # an entry whose cache is gone must leave the list too
     assert allowed == CACHE_ALLOWED
+
+
+def test_every_error_is_raised_in_src():
+    # an exception type the package neither raises nor catches is dead
+    # code; one that only the tests raise belongs in the tests
+    named = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                named |= {n.id for n in ast.walk(exc) if isinstance(n, ast.Name)}
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                named |= {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+    errors = ast.parse((SRC / "errors.py").read_text())
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    assert sorted(defined - named - {"TangletreeError"}) == []

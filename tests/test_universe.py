@@ -26,8 +26,7 @@ from tangletree.trees import NestedSet, nodes
 from tangletree.universe import (Universe, UniverseElement, _maximal, check_universe,
                                  maximal_star_above, is_maximal_star,
                                  near_max_star, profile_nested_part,
-                                 random_distributive_universe,
-                                 refine_essential_abstract, star_profile_status,
+                                 random_distributive_universe, star_profile_status,
                                  t_prime, t_tilde_star, theorem_1_3,
                                  unscramble_pair, unscramble_set)
 
@@ -477,26 +476,25 @@ def test_theorem_1_3_on_table_universes(seed):
     assert homes == len(ts)
 
 
-def test_refine_essential_abstract_leaves():
-    G, S, F, ts = _graph_instance_k2()
-    from tangletree.seps import separation
-    left = separation(G, {4, 5, 6, 7}, {0, 1, 2, 3, 4})
-    P = next(t for t in ts if left in t)
-    tree = refine_essential_abstract(frozenset({left}), P, F, tangles=ts)
-    assert left in set(tree.leaf_separations())
+def test_theorem_1_3_premise_needs_good_members():
+    U = random_distributive_universe(0)
+    S = U.system()
+    F = t_tilde_star(S)
+    ts = f_tangles(S, F)
+    Nt = NestedSet(S, set(build_efficient_nested_set(ts, S)) | {U.element("e00")})
+    with pytest.raises(HypothesisFailure, match="premise fails for the member e00"):
+        theorem_1_3(S, F, Nt, tangles=ts)
 
 
-def test_refine_essential_abstract_checks_the_family():
+def test_theorem_1_3_checks_the_family():
     G, S, F, ts = _graph_instance_k2()
-    from tangletree.seps import separation
-    left = separation(G, {4, 5, 6, 7}, {0, 1, 2, 3, 4})
-    P = next(t for t in ts if left in t)
+    Nt = build_efficient_nested_set(ts, S)
     no_singletons = StarFamily({el for el in F.elements if len(el) != 1})
     with pytest.raises(HypothesisFailure, match="not friendly"):
-        refine_essential_abstract(frozenset({left}), P, no_singletons, tangles=ts)
+        theorem_1_3(S, no_singletons, Nt, tangles=ts)
     no_t_prime = StarFamily(set(F.elements) - set(t_prime(S).elements))
     with pytest.raises(HypothesisFailure, match="T' is not contained"):
-        refine_essential_abstract(frozenset({left}), P, no_t_prime, tangles=ts)
+        theorem_1_3(S, no_t_prime, Nt, tangles=ts)
 
 
 def test_profile_nested_part():
