@@ -235,7 +235,7 @@ def run(argv=None):
     except TooLarge as e:
         print("cap exceeded: %s" % (e,), file=sys.stderr)
         return EXIT_CAP
-    except (ParseError, NotACover, FileNotFoundError, NoTangles) as e:
+    except (ParseError, NotACover, NoTangles, OSError, UnicodeDecodeError) as e:
         print("input error: %s" % (e,), file=sys.stderr)
         return EXIT_INPUT
     except TangletreeError as e:

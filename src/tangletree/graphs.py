@@ -140,24 +140,20 @@ def glue_cliques(blocks):
 @lru_cache(maxsize=None)
 def _min_vertex_cut_size(n, edges, a, b):
     """Minimum number of vertices (excluding a, b) separating non-adjacent
-    a, b in the graph on 0..n-1 with the given edges.
+    a, b in the graph on 0..n-1 with the given edges: the smallest X
+    avoiding a and b with b out of reach of a in G - X.
 
-    Keyed by value, so the cache keeps no Graph alive.
+    The loop tries every X up to the cut size, so it is exponential in that
+    size; it serves as a reference for tests and benchmarks.  Keyed by
+    value, so the cache keeps no Graph alive.
     """
-    if n <= 14:
-        # exhaustive: smallest X avoiding a,b with b out of reach of a in G-X
-        G = Graph(n, edges)
-        others = [v for v in range(n) if v != a and v != b]
-        for size in range(len(others) + 1):
-            for X in combinations(others, size):
-                if not G.reach(1 << a, G.full & ~vertex_mask(X)) >> b & 1:
-                    return size
-        raise AssertionError("unreachable: removing all other vertices separates")
-    import networkx as nx
-    H = nx.Graph()
-    H.add_nodes_from(range(n))
-    H.add_edges_from(tuple(e) for e in edges)
-    return len(nx.minimum_node_cut(H, a, b))
+    G = Graph(n, edges)
+    others = [v for v in range(n) if v != a and v != b]
+    for size in range(len(others) + 1):
+        for X in combinations(others, size):
+            if not G.reach(1 << a, G.full & ~vertex_mask(X)) >> b & 1:
+                return size
+    raise AssertionError("unreachable: removing all other vertices separates")
 
 
 def min_vertex_cut_size(G, a, b):

@@ -106,14 +106,13 @@ class OrientedSeparation:
                                 ",".join(map(str, self.sort_key[3])))
 
     @staticmethod
-    def _order_sets(members, inv):
-        """up, down, inv(up) and inv(down) of the separations `members` of one
-        graph, as bitsets over their positions.
+    def _order_sets(members):
+        """up and down of the separations `members` of one graph, as bitsets
+        over their positions.
 
         up[i] is the AND, over v in A_i, of the members whose A contains v
         and, over v outside B_i, of those whose B lacks v; down[i] is the
-        mirror image.  Inverting a separation reverses its order, so
-        inv(up[i]) = down[inv i] and inv(down[i]) = up[inv i].
+        mirror image.
         """
         G = members[0].graph
         full = (1 << len(members)) - 1
@@ -136,7 +135,7 @@ class OrientedSeparation:
                 u &= ~col_b[v]
             up.append(u)
             down.append(d)
-        return up, down, [down[t] for t in inv], [up[t] for t in inv]
+        return up, down
 
     @staticmethod
     def _lattice_kernels(members, bound):
@@ -234,19 +233,23 @@ class IndexTable:
 
     members[i] is member i and index its inverse map; inv[i] is the number
     of members[i].inv.  Bit j of up[i] is set when member i <= member j, of
-    down[i] when member j <= member i, of upinv[i] when i <= inv j.
-    incons[y] holds the x with x* <= y or y* <= x, other than y and y*: the
-    members that no consistent orientation holds together with y.  reps
+    down[i] when member j <= member i, of upinv[i] when i <= inv j.  reps
     lists the canonical representatives, one per unoriented member.  small
     holds the i with i <= i*, proper the i for which neither i nor i* is
     small.
+
+    The table assumes that the involution reverses the order (x <= y iff
+    y* <= x*), so upinv[i] is down[i*], and the members that no consistent
+    orientation holds together with y (x* <= y or y* <= x) are up[y*]
+    without y and y*.  Graph separations always satisfy this; a universe
+    does once `require_lattice` passes.
 
     join(i, j) and meet(i, j) are the numbers of members[i].join(members[j])
     and members[i].meet(members[j]), or None when those are not members;
     they answer as `find` would and allocate no element.
     """
 
-    __slots__ = ("members", "index", "inv", "up", "down", "upinv", "incons",
+    __slots__ = ("members", "index", "inv", "up", "down", "upinv",
                  "reps", "small", "proper", "join", "meet", "_bound")
 
     def __init__(self, oriented, bound):
@@ -255,14 +258,13 @@ class IndexTable:
         self.inv = inv = [index[s.inv] for s in members]
         self._bound = bound
         if members:
-            up, down, upinv, downinv = members[0]._order_sets(members, inv)
+            up, down = members[0]._order_sets(members)
             self.join, self.meet = members[0]._lattice_kernels(members, bound)
         else:
-            up = down = upinv = downinv = []
+            up = down = []
             self.join = self.meet = None
-        self.up, self.down, self.upinv = up, down, upinv
-        self.incons = [(downinv[y] | up[t]) & ~(1 << y | 1 << t)
-                       for y, t in enumerate(inv)]
+        self.up, self.down = up, down
+        self.upinv = [down[t] for t in inv]
         self.reps = [i for i, t in enumerate(inv) if i <= t]
         self.small = small = sum(1 << i for i, t in enumerate(inv) if up[i] >> t & 1)
         self.proper = sum(1 << i for i, t in enumerate(inv)

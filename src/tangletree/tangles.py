@@ -92,18 +92,17 @@ def is_consistent(O):
     """(True, None) or (False, (r_inv, s)) with r < s and both in O.
 
     The witness is the first pair x, y of O in sort_key order with
-    x* <= y or y* <= x: the first member x whose set `incons[x]` meets O,
-    all of whose hits come after it, and the first such y.
+    x* <= y, which the reversing involution makes the same as y* <= x: the
+    first member x whose up[x*] meets O other than in x, all of whose hits
+    come after it, and the first such y.
     """
     T = O.system.table()
     bits = O.bits
     for x in mask_bits(bits):
-        hit = T.incons[x] & bits
+        hit = T.up[T.inv[x]] & bits & ~(1 << x)
         if hit:
             y = (hit & -hit).bit_length() - 1
-            if T.up[T.inv[x]] >> y & 1:
-                return False, (T.members[x], T.members[y])
-            return False, (T.members[y], T.members[x])
+            return False, (T.members[x], T.members[y])
     return True, None
 
 
@@ -408,11 +407,11 @@ def f_tangles(S, F):
     certificate raises VerificationFailed.
     """
     T = S.table()
-    incons = T.incons
+    inv, up = T.inv, T.up
     blocked = F.blocker(T)
 
     def prune(bits, y):
-        return bool(bits & incons[y]) or blocked(bits, y)
+        return bool(bits & up[inv[y]]) or blocked(bits, y)
 
     out = []
     for bits in _backtrack_orientations(S, prune):
@@ -455,13 +454,13 @@ def regular_profiles(S):
     VerificationFailed.
     """
     T = S.table()
-    inv, up, incons, join = T.inv, T.up, T.incons, T.join
+    inv, up, join = T.inv, T.up, T.join
 
     def prune(bits, y):
         t = inv[y]
         if t != y and up[t] >> y & 1:              # y is co-small
             return True
-        if bits & incons[y]:
+        if bits & up[t]:
             return True
         # profile pruning: adding y must not complete {r, s, (r v s)*}
         with_y = bits | 1 << y

@@ -96,23 +96,20 @@ class UniverseElement:
         return str(self.name)
 
     @staticmethod
-    def _order_sets(members, inv):
-        """up, down, inv(up) and inv(down) of the elements `members` of one
-        universe, as bitsets over their positions, read off the universe's
-        up-sets `_up`."""
+    def _order_sets(members):
+        """up and down of the elements `members` of one universe, as bitsets
+        over their positions, read off the universe's up-sets `_up`."""
         U = members[0].universe
         pos = _positions(U, members)
         n = len(members)
-        up, down, upinv, downinv = [0] * n, [0] * n, [0] * n, [0] * n
+        up, down = [0] * n, [0] * n
         for i, x in enumerate(members):
             for b in mask_bits(U._up[x.i]):
                 j = pos[b]
                 if j is not None:
                     up[i] |= 1 << j
                     down[j] |= 1 << i
-                    upinv[i] |= 1 << inv[j]
-                    downinv[j] |= 1 << inv[i]
-        return up, down, upinv, downinv
+        return up, down
 
     @staticmethod
     def _lattice_kernels(members, bound):
@@ -310,7 +307,7 @@ def _total_table(rows, flat, unknown, index, what):
 class AbstractSystem(SeparationSystem):
     """Involution-closed subset of a universe."""
 
-    __slots__ = ("universe",)
+    __slots__ = ()
 
     def __init__(self, universe, members):
         members = frozenset(members)
@@ -318,7 +315,6 @@ class AbstractSystem(SeparationSystem):
             if s not in universe:
                 raise NotInSystem("%r is not an element of the universe" % (s,))
         super().__init__(universe, members)
-        self.universe = universe
 
 
 # ---------------------------------------------------------------- checking
@@ -763,16 +759,6 @@ def maximal_star_above(sigma, P):
         if nxt is None:
             return frozenset(T.members[i] for i in mask_bits(cur))
         cur = nxt
-
-
-def is_maximal_star(st, P):
-    """(flag, witness): no star in P strictly greater in the star order."""
-    T = P.system.table()
-    st = T.bits(st)
-    for tau in _profile_stars(P):
-        if T.star_leq(st, tau) and not T.star_leq(tau, st):
-            return False, frozenset(T.members[i] for i in mask_bits(tau))
-    return True, None
 
 
 # ------------------------------------------------------- essential refinement

@@ -9,6 +9,7 @@ from tangletree.seps import OrientedSeparation, SeparationSystem, separation
 from tangletree.tangles import (CoverFamily, Orientation, StarFamily,
                                 _backtrack_orientations, is_regular, is_star,
                                 same_separation)
+from tangletree.universe import _profile_stars
 
 
 def induced_edges(G, X):
@@ -331,6 +332,16 @@ def reference_maximal(elems):
     order; the reference for `universe._maximal`."""
     lst = sorted(set(elems), key=lambda x: x.sort_key)
     return [x for x in lst if not any(x.leq(y) and x != y for y in lst)]
+
+
+def is_maximal_star(st, P):
+    """(flag, witness): no star in P strictly greater in the star order."""
+    T = P.system.table()
+    st = T.bits(st)
+    for tau in _profile_stars(P):
+        if T.star_leq(st, tau) and not T.star_leq(tau, st):
+            return False, frozenset(T.members[i] for i in mask_bits(tau))
+    return True, None
 
 
 def reference_save_universe(U, path, seed=None):

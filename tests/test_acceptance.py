@@ -8,7 +8,7 @@ from itertools import combinations
 
 from conftest import random_graph
 from oracles import (brute_force_f_tangles, brute_force_separations,
-                     elements_over, nodes_by_orientation)
+                     elements_over, is_maximal_star, nodes_by_orientation)
 from tangletree import cli
 from tangletree.blocks import verify_theorem_4_8
 from tangletree.cliquetangles import CliqueCover
@@ -26,8 +26,7 @@ from tangletree.tangles import (CoverFamily, closely_related, f_tangles,
                                 interior, profile_stand_in_family,
                                 regular_profiles, star_leq)
 from tangletree.trees import NestedSet, nodes
-from tangletree.universe import (is_maximal_star, near_max_star,
-                                 random_distributive_universe,
+from tangletree.universe import (near_max_star, random_distributive_universe,
                                  star_profile_status, t_tilde_star,
                                  theorem_1_3, unscramble_set)
 

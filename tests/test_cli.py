@@ -334,6 +334,40 @@ def test_exit_codes_for_bad_input(tmp_path, twin_graph):
     assert cli.run(["blocks", "--graph", str(far), "--k", "2", "--out", out]) == 3
 
 
+@pytest.mark.parametrize("case", [
+    "graph-dir", "universe-dir", "system-dir", "td-dir", "export-dot-td-dir",
+    "family-dir", "abstract-family-dir", "graph-not-utf8", "universe-not-utf8",
+    "out-is-a-file"])
+def test_an_unreadable_path_is_input_error(tmp_path, twin_graph, capsys, case):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'{"format": "graph", "n": 2, "edges": []}\xff\xfe\n')
+    afile = tmp_path / "afile"
+    afile.write_text("x")
+    u = tmp_path / "u.json"
+    save_universe(random_distributive_universe(2), u)
+    out = str(tmp_path / "run")
+    graph = ["--graph", twin_graph, "--k", "3"]
+    argv = {
+        "graph-dir": ["tangles", "--graph", str(folder), "--k", "3", "--out", out],
+        "universe-dir": ["abstract", "--universe", str(folder), "--out", out],
+        "system-dir": ["abstract", "--universe", str(u), "--system", str(folder),
+                       "--out", out],
+        "td-dir": ["verify", *graph, "--td", str(folder), "--out", out],
+        "export-dot-td-dir": ["export-dot", "--td", str(folder)],
+        "family-dir": ["tangles", *graph, "--family", "file:%s" % folder, "--out", out],
+        "abstract-family-dir": ["abstract", "--universe", str(u),
+                                "--family", "file:%s" % folder, "--out", out],
+        "graph-not-utf8": ["tangles", "--graph", str(binary), "--k", "3", "--out", out],
+        "universe-not-utf8": ["abstract", "--universe", str(binary), "--out", out],
+        "out-is-a-file": ["tangles", *graph, "--out", str(afile)],
+    }[case]
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
 def test_reruns_are_byte_identical(tmp_path, twin_graph):
     outs = []
     for name in ("a", "b"):

@@ -85,8 +85,8 @@ def test_premise_on_random_graphs(seed, k):
 def _cycle_orientations():
     """S_3 of the 6-cycle and its 32 consistent orientations, by bits."""
     S = enumerate_separations(cycle_graph(6), 3)
-    incons = S.table().incons
-    found = _backtrack_orientations(S, lambda bits, y: bool(bits & incons[y]))
+    T = S.table()
+    found = _backtrack_orientations(S, lambda bits, y: bool(bits & T.up[T.inv[y]]))
     return S, [Orientation(S, bits) for bits in sorted(found)]
 
 

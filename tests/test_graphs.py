@@ -41,7 +41,7 @@ def test_min_vertex_cut_exhaustive():
 
 
 def test_min_vertex_cut_large_graph_matches_known_value():
-    # 16 vertices exercises the max-flow path; the bridge pins the cut at 1
+    # 16 vertices, more than any oracle graph; the bridge pins the cut at 1
     G = bridged_cliques(8)
     assert min_vertex_cut_size(G, 0, 15) == 1
     assert min_vertex_cut_size(G, 0, 8) == 1

@@ -12,7 +12,8 @@ from itertools import combinations
 
 from lemmas import (lattice_of_sets, m3_universe, max_and_closely_related_report,
                     n5_universe)
-from oracles import check_universe_elementwise, elements_over, reference_maximal
+from oracles import (check_universe_elementwise, elements_over, is_maximal_star,
+                     reference_maximal)
 from tangletree.distinguish import build_efficient_nested_set
 from tangletree.errors import (HypothesisFailure, NonDistributive, NotInSystem,
                                ParseError)
@@ -24,10 +25,9 @@ from tangletree.tangles import (CoverFamily, Orientation, StarFamily,
                                 star_leq)
 from tangletree.trees import NestedSet, nodes
 from tangletree.universe import (Universe, UniverseElement, _maximal, check_universe,
-                                 maximal_star_above, is_maximal_star,
-                                 near_max_star, profile_nested_part,
-                                 random_distributive_universe, star_profile_status,
-                                 t_prime, t_tilde_star, theorem_1_3,
+                                 maximal_star_above, near_max_star,
+                                 profile_nested_part, random_distributive_universe,
+                                 star_profile_status, t_prime, t_tilde_star, theorem_1_3,
                                  unscramble_pair, unscramble_set)
 
 
