@@ -47,9 +47,6 @@ class Graph:
     def edge_tuples(self):
         return sorted(tuple(sorted(e)) for e in self.edges)
 
-    def neighbors(self, v):
-        return mask_vertices(self.adj[v])
-
     def reach(self, seed, allowed):
         """Mask of the vertices of `allowed` joined to the seed mask by
         paths inside `allowed`; the seed is assumed to lie in `allowed`."""

@@ -22,9 +22,12 @@ def _dump(obj, path):
     return text
 
 
-def _load(path, expect):
+def _read(path):
     with open(path) as f:
-        text = f.read()
+        return f.read()
+
+
+def _parse(text, expect):
     try:
         obj = json.loads(text)
     except ValueError as e:
@@ -87,10 +90,9 @@ def load_graph(path):
     An edge-list may state its vertex count in one "n N" line; otherwise n
     is the largest vertex + 1.
     """
-    with open(path) as f:
-        text = f.read()
+    text = _read(path)
     if text.lstrip().startswith("{"):
-        return _json_graph(_load(path, "graph"), "edges")
+        return _json_graph(_parse(text, "graph"), "edges")
     n, edges = None, []
     for line in text.splitlines():
         line = line.split("#")[0].strip()
@@ -146,7 +148,7 @@ def save_system(S, path, seed=None):
 
 
 def load_system(path, G):
-    obj = _load(path, "separation-system")
+    obj = _parse(_read(path), "separation-system")
     return _system(G, [_sep_in(G, p) for p in _list(obj, "members")], obj.get("k"))
 
 
@@ -176,7 +178,7 @@ def save_tangles(ts, path, seed=None):
 
 
 def load_tangles(path, G):
-    obj = _load(path, "tangle-set")
+    obj = _parse(_read(path), "tangle-set")
     reps = [_sep_in(G, p) for p in _list(obj, "separations")]
     S = _system(G, reps, obj.get("k"))
     T = S.table()
@@ -196,7 +198,7 @@ def load_tangles(path, G):
 
 
 def load_star_family(path, G):
-    obj = _load(path, "star-family")
+    obj = _parse(_read(path), "star-family")
     stars = _list(obj, "stars")
     if not all(isinstance(el, list) for el in stars):
         raise ParseError("'stars' must be lists of separations")
@@ -219,7 +221,7 @@ def save_nested_set(N, path, seed=None, annotations=None):
 
 
 def load_nested_set(path, S):
-    obj = _load(path, "nested-set")
+    obj = _parse(_read(path), "nested-set")
     return _nested_set(S, [_sep_in(S.ground, p) for p in _list(obj, "members")])
 
 
@@ -246,7 +248,7 @@ def save_tree_decomposition(TD, path, seed=None):
 def load_tree_decomposition(path):
     """A malformed graph, node or tree edge, or a bag vertex outside the
     graph, is a ParseError."""
-    obj = _load(path, "tree-decomposition")
+    obj = _parse(_read(path), "tree-decomposition")
     G = _json_graph(obj, "graph_edges")
     nodes = _list(obj, "nodes")
     if not all(isinstance(d, dict) and type(d.get("id")) is int and _ints(d.get("bag"))
@@ -291,13 +293,13 @@ def load_universe(path):
     """Table form; `Universe.from_tables` checks every table as it reads
     it, so a missing table or a malformed row is a ParseError."""
     from .universe import Universe
-    obj = _load(path, "universe")
+    obj = _parse(_read(path), "universe")
     return Universe.from_tables(obj.get("elements"), obj.get("leq"), obj.get("inv"),
                                 obj.get("meet"), obj.get("join"), order=obj.get("order"))
 
 
 def load_abstract_system(path, U):
-    obj = _load(path, "abstract-system")
+    obj = _parse(_read(path), "abstract-system")
     try:
         return U.system(_elements(U, _list(obj, "members")))
     except ValueError as e:
@@ -316,7 +318,7 @@ def _elements(U, names):
 
 
 def load_abstract_star_family(path, U):
-    obj = _load(path, "abstract-star-family")
+    obj = _parse(_read(path), "abstract-star-family")
     stars = _list(obj, "stars")
     if not all(isinstance(el, list) for el in stars):
         raise ParseError("'stars' must be lists of element names")
@@ -331,7 +333,7 @@ def save_abstract_nested_set(N, path, seed=None):
 
 
 def load_abstract_nested_set(path, S):
-    obj = _load(path, "abstract-nested-set")
+    obj = _parse(_read(path), "abstract-nested-set")
     return _nested_set(S, _elements(S.ground, _list(obj, "members")))
 
 
@@ -364,38 +366,18 @@ def _dot_label(text):
     return text.replace('"', r'\"')
 
 
-def export_dot(obj):
-    """Deterministic DOT text for an S-tree or a tree-decomposition.
+def export_dot(TD):
+    """Deterministic DOT text for a tree-decomposition.
 
-    Nodes are labeled with bags (interiors for S-trees), edges with the
-    order of the induced separation.
+    Nodes are labeled with bags, edges with the order of the induced
+    separation.
     """
-    from .tangles import interior
-    from .trees import STree
     lines = ["graph tangletree {"]
-    if isinstance(obj, STree):
-        ground = None
-        for x in obj.alpha.values():
-            ground = getattr(x, "graph", None)
-            break
-        for i, st in enumerate(obj.stars):
-            if ground is not None:
-                label = "{%s}" % ",".join(map(str, _vs(interior(st, ground))))
-            else:
-                label = "{%s}" % ",".join(sorted(s.name for s in st))
-            lines.append('  n%d [label="%s"];' % (i, _dot_label(label)))
-        for (i, j) in obj.edges:
-            lines.append('  n%d -- n%d [label="%d"];'
-                         % (i, j, obj.alpha[(i, j)].order))
-    elif isinstance(obj, TreeDecomposition):
-        for i, bag in enumerate(obj.bags):
-            label = "{%s}" % ",".join(map(str, _vs(bag)))
-            lines.append('  n%d [label="%s"];' % (i, _dot_label(label)))
-        induced = obj.induced_separations()
-        for (i, j) in obj.edges:
-            lines.append('  n%d -- n%d [label="%d"];'
-                         % (i, j, induced[(i, j)].order))
-    else:
-        raise ParseError("export_dot takes an STree or a TreeDecomposition")
+    for i, bag in enumerate(TD.bags):
+        label = "{%s}" % ",".join(map(str, _vs(bag)))
+        lines.append('  n%d [label="%s"];' % (i, _dot_label(label)))
+    induced = TD.induced_separations()
+    for (i, j) in TD.edges:
+        lines.append('  n%d -- n%d [label="%d"];' % (i, j, induced[(i, j)].order))
     lines.append("}")
     return "\n".join(lines) + "\n"

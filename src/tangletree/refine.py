@@ -14,31 +14,15 @@ from .trees import STree, NestedSet, TreeDecomposition, to_stree
 # ------------------------------------------------------- inessential stars
 
 
-class _Fragment:
-    """A partial S-tree under construction: stars, edges, alpha."""
-
-    def __init__(self, star):
-        self.stars = [star]
-        self.edges = []
-        self.alpha = {}
-
-    @staticmethod
-    def glue(t1, t2, u):
-        """Join two fragments with edge separation u pointing into t2."""
-        out = _Fragment.__new__(_Fragment)
-        off = len(t1.stars)
-        out.stars = t1.stars + t2.stars
-        out.edges = list(t1.edges) + [(i + off, j + off) for (i, j) in t2.edges]
-        out.alpha = dict(t1.alpha)
-        for (i, j), x in t2.alpha.items():
-            out.alpha[(i + off, j + off)] = x
-        i1 = next(i for i, st in enumerate(t1.stars) if u.inv in st)
-        i2 = next(i for i, st in enumerate(t2.stars) if u in st) + off
-        a, b = min(i1, i2), max(i1, i2)
-        out.edges.append((a, b))
-        out.alpha[(i1, i2)] = u
-        out.alpha[(i2, i1)] = u.inv
-        return out
+def _glue(t1, t2, u):
+    """Join two (stars, edges) fragments by an edge whose separation u
+    points into t2."""
+    (stars1, edges1), (stars2, edges2) = t1, t2
+    off = len(stars1)
+    i1 = next(i for i, st in enumerate(stars1) if u.inv in st)
+    i2 = next(i for i, st in enumerate(stars2) if u in st) + off
+    return (stars1 + stars2,
+            edges1 + [(i + off, j + off, x) for (i, j, x) in edges2] + [(i1, i2, u)])
 
 
 def _cover_parts(sigma, F):
@@ -88,7 +72,7 @@ MAX_EXPANSIONS = 20000
 
 
 def _carve_cover(sigma, F, S):
-    """Fragment (stars, edges, alpha) whose non-sigma leaves lie in F.
+    """Fragment (stars, edges) whose non-sigma leaves lie in F.
 
     Searches for a binary carving of the parts in which every partition
     separation has order below k; cover-style stars then lie in F without
@@ -182,7 +166,7 @@ def _carve_cover(sigma, F, S):
     if tree is None:
         raise SearchExhausted("no carving of the uncovered region was found")
 
-    stars, edges, alpha = [], [], {}
+    stars, edges = [], []
 
     def emit(sub, parent_sep):
         """Node id carrying the subtree, or None for sigma leaves."""
@@ -209,23 +193,21 @@ def _carve_cover(sigma, F, S):
         for t, s in kids:
             kid = emit(t, s)
             if kid is not None:
-                edges.append((min(nid, kid), max(nid, kid)))
-                alpha[(kid, nid)] = s
-                alpha[(nid, kid)] = s.inv
+                edges.append((nid, kid, s.inv))
         return nid
 
     emit(tree, None)
-    # internal nodes must precede the leaves for the caller's arithmetic
+    # internal nodes move before the leaves.  No caller needs that order,
+    # but it fixes the bag order of Theorem 1.2's output; a parent is never
+    # a leaf, so it stays before its children and each edge keeps i < j
     order = sorted(range(len(stars)), key=lambda i: len(stars[i]) == 1)
     remap = {old: new for new, old in enumerate(order)}
     stars = [stars[i] for i in order]
-    edges = sorted((min(remap[a], remap[b]), max(remap[a], remap[b]))
-                   for (a, b) in edges)
-    alpha = {(remap[a], remap[b]): x for (a, b), x in alpha.items()}
-    for x in alpha.values():
+    edges = [(remap[a], remap[b], x) for (a, b, x) in edges]
+    for (_, _, x) in edges:
         if x not in S:
             raise VerificationFailed("carving produced %r outside S" % (x,))
-    return stars, edges, alpha
+    return stars, edges
 
 
 def _split_search(sigma, F, S):
@@ -255,7 +237,7 @@ def _split_search(sigma, F, S):
 
     def build(nb, used):
         if nb in in_F:
-            return _Fragment(frozenset(members[i] for i in mask_bits(nb)))
+            return [frozenset(members[i] for i in mask_bits(nb))], []
         if nb in memo_fail:
             return None
         if budget[0] <= 0:
@@ -279,12 +261,12 @@ def _split_search(sigma, F, S):
             t1 = build(b1, used2)
             if t1 is None:
                 continue
-            for x in t1.alpha.values():
+            for (_, _, x) in t1[1]:
                 used2 |= pair(T.index[x])
             t2 = build(b2, used2)
             if t2 is None:
                 continue
-            return _Fragment.glue(t1, t2, members[u])
+            return _glue(t1, t2, members[u])
         memo_fail.add(nb)
         return None
 
@@ -294,7 +276,7 @@ def _split_search(sigma, F, S):
     frag = build(T.bits(sigma), used)
     if frag is None:
         raise SearchExhausted("no refinement found for %r" % (sorted(sigma),))
-    return frag.stars, frag.edges, frag.alpha
+    return frag
 
 
 def refine_inessential(sigma, F, S, tangles):
@@ -317,22 +299,16 @@ def refine_inessential(sigma, F, S, tangles):
                 "%r has no tangle closely related to its inverse" % (s,))
 
     if sigma in F and sigma:
-        stars, edges, alpha = [sigma], [], {}
+        stars, edges = [sigma], []
     elif isinstance(F, CoverFamily):
-        stars, edges, alpha = _carve_cover(sigma, F, S)
+        stars, edges = _carve_cover(sigma, F, S)
     else:
-        stars, edges, alpha = _split_search(sigma, F, S)
-    stars = list(stars)
-    edges = list(edges)
-    alpha = dict(alpha)
+        stars, edges = _split_search(sigma, F, S)
     for s in sorted(sigma, key=lambda x: x.sort_key):
         host = next(i for i, st in enumerate(stars) if s in st)
-        leaf = len(stars)
+        edges.append((host, len(stars), s.inv))
         stars.append(frozenset({s.inv}))
-        edges.append((min(host, leaf), max(host, leaf)))
-        alpha[(leaf, host)] = s
-        alpha[(host, leaf)] = s.inv
-    tree = STree(stars, edges, alpha)
+    tree = STree(stars, edges)
     # certificate: leaves carry sigma, and the stars before those leaves,
     # which come last, lie in F
     leaf_seps = set(tree.leaf_separations())
@@ -413,7 +389,7 @@ def _refine(S, F, N_tilde, ts, step):
     """
     t0 = to_stree(N_tilde)
     stars = dict(enumerate(t0.stars))
-    alpha = dict(t0.alpha)
+    edges = {(i, j): x for (i, j, x) in t0.edges}      # x points toward j
     next_id = len(stars)
     status = dict.fromkeys(stars, "pending")
     from_essential = set()
@@ -427,19 +403,21 @@ def _refine(S, F, N_tilde, ts, step):
         del status[t]
         ids = {i: next_id + n for n, i in enumerate(inside)}
         next_id += len(inside)
-        if sum(a in ids and b in ids for (a, b) in local.edges) + len(st) != len(local.edges):
+        kept = sum(a in ids and b in ids for (a, b, _) in local.edges)
+        if kept + len(st) != len(local.edges):
             raise VerificationFailed("local tree surgery lost an edge")
         for i in inside:
             stars[ids[i]] = local.stars[i]
-        for (a, b), x in local.alpha.items():
+        for (a, b, x) in local.edges:
             if a in ids and b in ids:
-                alpha[(ids[a], ids[b])] = x
-        for j in sorted(j for (a, j) in alpha if a == t):
-            s = alpha.pop((j, t))          # points toward t
-            del alpha[(t, j)]
+                edges[(ids[a], ids[b])] = x
+        # each edge at t moves to the new node whose star holds its
+        # separation toward t; that node's id is the larger
+        for (a, b) in [e for e in edges if t in e]:
+            x = edges.pop((a, b))
+            j, s = (a, x) if b == t else (b, x.inv)
             host = ids[next(i for i in inside if s in local.stars[i])]
-            alpha[(j, host)] = s
-            alpha[(host, j)] = s.inv
+            edges[(j, host)] = s
         return list(ids.values())
 
     rounds = 0
@@ -477,10 +455,9 @@ def _refine(S, F, N_tilde, ts, step):
 
     order = sorted(stars)
     remap = {i: n for n, i in enumerate(order)}
-    final_alpha = {(remap[a], remap[b]): x for (a, b), x in alpha.items()}
-    edges = {(min(a, b), max(a, b)) for (a, b) in final_alpha}
-    tree = STree([stars[i] for i in order], edges, final_alpha)
-    N = NestedSet(S, final_alpha.values())
+    tree = STree([stars[i] for i in order],
+                 [(remap[a], remap[b], x) for (a, b), x in edges.items()])
+    N = NestedSet(S, edges.values())
     if N_tilde.bits & ~N.bits:
         raise VerificationFailed("the refinement dropped a premise separation")
     for i in order:
@@ -521,7 +498,8 @@ def theorem_1_2(G, F, N_tilde, tangles=None):
             raise
         N, bags, edges = N_tilde, [G.vertices], []
     else:
-        bags, edges = [interior(x, G) for x in tree.stars], tree.edges
+        bags = [interior(x, G) for x in tree.stars]
+        edges = [(i, j) for (i, j, _) in tree.edges]
     TD = TreeDecomposition(G, bags, edges)
     ok, w = TD.is_valid()
     if not ok:

@@ -83,30 +83,28 @@ def nodes(N):
 
 
 class STree:
-    """Tree plus edge map alpha; alpha of a reversed edge is the inverse."""
+    """Tree of node stars; each edge is a triple (i, j, x) with i < j and
+    the oriented separation x pointing toward j: x in stars[j] and x* in
+    stars[i]."""
 
-    __slots__ = ("stars", "edges", "alpha")
+    __slots__ = ("stars", "edges")
 
-    def __init__(self, stars, edges, alpha):
-        self.stars = list(stars)          # star per tree vertex
-        self.edges = sorted(edges)        # (i, j) with i < j
-        self.alpha = dict(alpha)          # (i, j) -> oriented sep pointing to j
-        for (i, j) in self.edges:
-            if self.alpha[(j, i)] != self.alpha[(i, j)].inv:
-                raise VerificationFailed("alpha is not inverted on edge %r" % ((i, j),))
+    def __init__(self, stars, edges):
+        self.stars = list(stars)
+        self.edges = sorted(edges, key=lambda e: e[:2])
 
     def leaf_separations(self):
         """Oriented separations on leaf edges, pointing away from the leaf."""
         deg = {}
-        for (i, j) in self.edges:
+        for (i, j, _) in self.edges:
             deg[i] = deg.get(i, 0) + 1
             deg[j] = deg.get(j, 0) + 1
         out = []
-        for (i, j) in self.edges:
-            if deg.get(i, 0) == 1:
-                out.append(self.alpha[(i, j)])
-            if deg.get(j, 0) == 1:
-                out.append(self.alpha[(j, i)])
+        for (i, j, x) in self.edges:
+            if deg[i] == 1:
+                out.append(x)
+            if deg[j] == 1:
+                out.append(x.inv)
         return sorted(out, key=lambda s: s.sort_key)
 
 
@@ -118,14 +116,12 @@ def to_stree(N):
         for s in st:
             if node.setdefault(s, i) != i:
                 raise VerificationFailed("member %r lies in two nodes" % (s,))
-    edges = set()
-    alpha = {}
+    edges = []
     for s in N:
-        j, i = node[s], node[s.inv]
-        edges.add((min(i, j), max(i, j)))
-        alpha[(i, j)] = s
-        alpha[(j, i)] = s.inv
-    tree = STree(stars, edges, alpha)
+        if node[s] < node[s.inv]:
+            s = s.inv
+        edges.append((node[s.inv], node[s], s))
+    tree = STree(stars, edges)
     if len(tree.stars) != len(N) + 1:
         raise VerificationFailed("nested set does not form a tree")
     return tree
@@ -139,12 +135,6 @@ class TreeDecomposition:
         self.bags = [frozenset(b) for b in bags]
         self.edges = sorted(tuple(sorted(e)) for e in edges)
         self._induced = None
-
-    def adhesion(self):
-        if not self.edges:
-            return 0
-        return max(len(self._side(i, j)[0] & self._side(i, j)[1])
-                   for (i, j) in self.edges)
 
     def _neighbors(self, i):
         out = []
@@ -231,7 +221,7 @@ def to_tree_decomposition(N, G):
     """Bags are the node interiors; the induced separations must equal N."""
     tree = to_stree(N)
     bags = [interior(st, G) for st in tree.stars]
-    td = TreeDecomposition(G, bags, [(i, j) for (i, j) in tree.edges])
+    td = TreeDecomposition(G, bags, [(i, j) for (i, j, _) in tree.edges])
     ok, w = td.is_valid()
     if not ok:
         raise VerificationFailed("interior bags do not form a tree-decomposition: %r" % (w,))

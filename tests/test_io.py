@@ -19,9 +19,9 @@ from tangletree.io import (export_dot, load_abstract_nested_set,
                            load_universe, save_abstract_nested_set, save_graph,
                            save_nested_set, save_report, save_system,
                            save_tangles, save_tree_decomposition, save_universe)
-from tangletree.seps import enumerate_separations, separation
+from tangletree.seps import enumerate_separations
 from tangletree.tangles import CoverFamily, f_tangles
-from tangletree.trees import NestedSet, to_stree, to_tree_decomposition
+from tangletree.trees import NestedSet, to_tree_decomposition
 from tangletree.universe import random_distributive_universe, t_tilde_star
 
 
@@ -41,6 +41,24 @@ def test_graph_round_trip(tmp_path, twin):
     assert obj["format"] == "graph" and obj["seed"] == 7
     H = load_graph(p)
     assert H.n == G.n and set(H.edge_tuples()) == set(G.edge_tuples())
+
+
+def test_json_graph_is_read_once(tmp_path, twin, monkeypatch):
+    # one read serves both the format sniff and the JSON parse, so the file
+    # cannot change between them
+    G = twin[0]
+    p = tmp_path / "g.json"
+    save_graph(G, p)
+    opened, real_open = [], open
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return real_open(*args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    H = load_graph(p)
+    monkeypatch.undo()
+    assert H == G and opened == [p]
 
 
 def test_graph_edge_list_parsing(tmp_path):
@@ -320,20 +338,3 @@ def test_export_dot_tree_decomposition(tmp_path, twin):
     assert '"{0,1,2,3}"' in text and '"{3,4,5,6,7}"' in text
     assert 'label="1"' in text  # the bridge separation has order 1
     assert export_dot(TD) == text
-
-
-def test_export_dot_stree(twin):
-    G, S, ts = twin
-    a = separation(G, {0, 1, 2, 3}, {3, 4, 5, 6, 7})
-    T = to_stree(NestedSet(S, [a]))
-    text = export_dot(T)
-    assert text.count(" -- ") == 1 and text.count("label=") == 3
-    with pytest.raises(ParseError):
-        export_dot("nope")
-
-
-def test_export_dot_empty_nested_set(twin):
-    G, S, ts = twin
-    T = to_stree(NestedSet(S, []))
-    text = export_dot(T)
-    assert text.count(" -- ") == 0 and "n0" in text

@@ -18,6 +18,7 @@ from tangletree.refine import (exclusive_stars, min_interior_exclusive_star,
                                refine_inessential, theorem_1_2)
 from tangletree.seps import enumerate_separations, separation
 from tangletree.tangles import (CoverFamily, f_tangles, interior, is_star,
+                                profile_stand_in_family, regular_profiles,
                                 star_leq)
 from tangletree.trees import NestedSet
 from tangletree.universe import random_distributive_universe, t_tilde_star
@@ -69,12 +70,18 @@ def test_refine_inessential_certificate():
     G, S, ts = _twin_setup()
     u = separation(G, {0, 1, 2, 3}, {3, 4, 5, 6, 7})
     w = separation(G, {4, 5, 6, 7}, {0, 1, 2, 3, 4})
-    inessential = [st for st in nodes(NestedSet(S, [u, w]))
-                   if not any(all(s in P for s in st) for P in ts)]
-    assert inessential
-    for sigma in inessential:
-        tree = refine_inessential(sigma, CoverFamily(G, 3), S, ts)
-        assert sigma <= set(tree.leaf_separations())
+    # the cover family takes the carving search, the explicit star family
+    # the split search
+    for F, tangles in ((CoverFamily(G, 3), ts),
+                       (profile_stand_in_family(S), regular_profiles(S))):
+        inessential = [st for st in nodes(NestedSet(S, [u, w]))
+                       if not any(all(s in P for s in st) for P in tangles)]
+        assert inessential
+        for sigma in inessential:
+            tree = refine_inessential(sigma, F, S, tangles)
+            assert sigma <= set(tree.leaf_separations())
+            for (i, j, x) in tree.edges:
+                assert x in tree.stars[j] and x.inv in tree.stars[i]
 
 
 def test_refine_inessential_rejects_essential_star():

@@ -97,7 +97,9 @@ def test_stree_round_trip(seed):
         return
     T = to_stree(N)
     assert len(T.stars) == len(N) + 1
-    assert {canonical(x) for x in T.alpha.values()} == set(N)
+    assert {canonical(x) for (_, _, x) in T.edges} == set(N)
+    for (i, j, x) in T.edges:
+        assert x in T.stars[j] and x.inv in T.stars[i]
     # every oriented member sits in exactly one node
     for s in [x for t in N for x in (t, t.inv)]:
         assert sum(1 for star in T.stars if s in star) == 1
@@ -111,7 +113,6 @@ def test_tree_decomposition_from_nested_set():
     TD = to_tree_decomposition(N, G)
     ok, w = TD.is_valid()
     assert ok, w
-    assert TD.adhesion() == 1
     assert verify_theorem_4_8(G, 3, TD, ts)["efficient"]
 
 
