@@ -138,32 +138,24 @@ class OrientedSeparation:
         return up, down
 
     @staticmethod
-    def _lattice_kernels(members, bound):
+    def _lattice_kernels(members):
         """join(i, j) and meet(i, j) over the separations `members` of one
         graph: the position of the join or meet of members i and j, or None
         when it is not among them.
 
-        Both work on the masks and allocate no separation.  A result of
-        order `bound` or more is rejected before the lookup, as in
-        `IndexTable.find`; the lookup dict is keyed by a << n | b.
+        Both work on the masks and allocate no separation; the lookup dict
+        is keyed by a << n | b.
         """
         n = members[0].graph.n
         A = [s.a for s in members]
         B = [s.b for s in members]
-        number = {s.a << n | s.b: k for k, s in enumerate(members)}
-        if bound is None:
-            bound = n + 1                  # no separation has that order
-
-        def lookup(a, b):
-            if (a & b).bit_count() >= bound:
-                return None
-            return number.get(a << n | b)
+        number = {s.a << n | s.b: k for k, s in enumerate(members)}.get
 
         def join(i, j):
-            return lookup(A[i] | A[j], B[i] & B[j])
+            return number((A[i] | A[j]) << n | B[i] & B[j])
 
         def meet(i, j):
-            return lookup(A[i] & A[j], B[i] | B[j])
+            return number((A[i] & A[j]) << n | B[i] | B[j])
 
         return join, meet
 
@@ -245,21 +237,20 @@ class IndexTable:
     does once `require_lattice` passes.
 
     join(i, j) and meet(i, j) are the numbers of members[i].join(members[j])
-    and members[i].meet(members[j]), or None when those are not members;
-    they answer as `find` would and allocate no element.
+    and members[i].meet(members[j]), as `index.get` gives them, or None
+    when those are not members; they allocate no element.
     """
 
     __slots__ = ("members", "index", "inv", "up", "down", "upinv",
-                 "reps", "small", "proper", "join", "meet", "_bound")
+                 "reps", "small", "proper", "join", "meet")
 
-    def __init__(self, oriented, bound):
+    def __init__(self, oriented):
         self.members = members = sorted(oriented, key=lambda s: s.sort_key)
         self.index = index = {s: i for i, s in enumerate(members)}
         self.inv = inv = [index[s.inv] for s in members]
-        self._bound = bound
         if members:
             up, down = members[0]._order_sets(members)
-            self.join, self.meet = members[0]._lattice_kernels(members, bound)
+            self.join, self.meet = members[0]._lattice_kernels(members)
         else:
             up = down = []
             self.join = self.meet = None
@@ -269,12 +260,6 @@ class IndexTable:
         self.small = small = sum(1 << i for i, t in enumerate(inv) if up[i] >> t & 1)
         self.proper = sum(1 << i for i, t in enumerate(inv)
                           if not (small >> i | small >> t) & 1)
-
-    def find(self, s):
-        """The number of s, or None when s is not a member."""
-        if self._bound is not None and s.order >= self._bound:
-            return None
-        return self.index.get(s)
 
     def bits(self, seps):
         """The bitset of the members seps; KeyError for a non-member."""
@@ -324,7 +309,7 @@ class SeparationSystem:
     Its `IndexTable` is built on first use and kept on the system.
     """
 
-    __slots__ = ("ground", "oriented", "k", "_bound", "_hash", "_table")
+    __slots__ = ("ground", "oriented", "k", "_hash", "_table")
 
     def __init__(self, ground, oriented, k=None):
         oriented = frozenset(oriented)
@@ -334,21 +319,16 @@ class SeparationSystem:
         self.ground = ground
         self.oriented = oriented
         self.k = k
-        # with every member of order below k, a join or meet of order k or
-        # more is outside the system before it is hashed
-        self._bound = k if k is not None and all(s.order < k for s in oriented) else None
         self._hash = hash((ground, oriented, k))
         self._table = None
 
     def table(self):
         """The system's `IndexTable`, built on the first call."""
         if self._table is None:
-            self._table = IndexTable(self.oriented, self._bound)
+            self._table = IndexTable(self.oriented)
         return self._table
 
     def __contains__(self, s):
-        if self._bound is not None and s.order >= self._bound:
-            return False
         return s in self.oriented
 
     def __iter__(self):

@@ -171,30 +171,25 @@ class SideMasks(dict):
         return self[v]
 
 
-def covering_subset(members, masks, target, fixed=(), accept=None):
-    """The first set of at most three separations, all of `fixed` and the
-    rest from `members`, whose A-sides cover the (vertex, edge) masks of
-    `target` and which `accept` accepts when given; None if there is none.
+def covering_subset(members, masks, target, accept=None):
+    """The first set of at most three of `members` whose A-sides cover the
+    (vertex, edge) masks of `target` and which `accept` accepts when given;
+    None if there is none.  The empty set covers an empty target.
 
     Members are tried by (-|A n target|, sort_key), sets by size and then
     lexicographically.
     """
     tv, te = target
-    cv = ce = 0
-    for s in fixed:
-        v, e = masks[s.a]
-        cv, ce = cv | v & tv, ce | e & te
+    if not (tv or te) and (accept is None or accept([])):
+        return frozenset()
     lst = []
     for s in members:
         v, e = masks[s.a]
         v &= tv
         lst.append((-v.bit_count(), s.sort_key, s, v, e & te))
     lst.sort(key=lambda x: x[:2])
-    fixed = list(fixed)
-    if len(fixed) <= 3 and cv == tv and ce == te and (accept is None or accept(fixed)):
-        return frozenset(fixed)
-    for left in range(1, 4 - len(fixed)):
-        hit = _complete(lst, target, accept, 0, left, cv, ce, fixed)
+    for left in range(1, 4):
+        hit = _complete(lst, target, accept, 0, left, 0, 0, [])
         if hit is not None:
             return hit
     return None
@@ -234,12 +229,20 @@ class CoverFamily:
         self._full = self.masks[G.full]
         self._accept = is_star if stars_only else None
 
-    def _cover(self, members, fixed=()):
-        return covering_subset(members, self.masks, self._full, fixed, self._accept)
+    def _cover(self, members):
+        return covering_subset(members, self.masks, self._full, self._accept)
 
     def __contains__(self, seps):
-        """Whether the set of separations seps is an element of the family."""
-        return self._cover((), seps) is not None
+        """Whether the set of separations seps is an element of the family:
+        at most three, their A-sides cover every vertex and edge of G, and
+        for T_k* they form a star."""
+        if len(seps) > 3:
+            return False
+        cv = ce = 0
+        for s in seps:
+            v, e = self.masks[s.a]
+            cv, ce = cv | v, ce | e
+        return (cv, ce) == self._full and (self._accept is None or self._accept(seps))
 
     def blocker(self, T):
         """The search prune over the table T: blocked(bits, y) is whether a

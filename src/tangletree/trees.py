@@ -21,7 +21,7 @@ class NestedSet:
         T = system.table()
         bits = 0
         for s in members:
-            i = T.find(s)
+            i = T.index.get(s)
             if i is None:
                 raise NotInSystem("%r is not in the system" % (s,))
             bits |= 1 << min(i, T.inv[i])

@@ -18,9 +18,6 @@ from .tangles import (StarFamily, check_star, check_star_family,
                       regular_profiles, star_leq)
 from .trees import NestedSet, nodes
 
-# proper members of a profile beyond which its stars are not enumerated
-STAR_CAP = 20
-
 
 class UniverseElement:
     """Element of a table-driven universe; implements the separation protocol.
@@ -112,13 +109,10 @@ class UniverseElement:
         return up, down
 
     @staticmethod
-    def _lattice_kernels(members, bound):
+    def _lattice_kernels(members):
         """join(i, j) and meet(i, j) over the elements `members` of one
         universe: the universe's `_join` or `_meet` entry for members i and
         j, mapped to its position among them, or None when it is not one.
-
-        Every member lies below `bound` when there is one, so the result's
-        position alone decides.
         """
         U = members[0].universe
         pos = _positions(U, members)
@@ -689,7 +683,8 @@ def near_max_star(sigma, P, tangles=None):
     """A star above sigma that is closely related to and near-maximal in P.
 
     Follows the supporting lemma's proof: unscramble the maximal separations
-    of P_sigma and keep the maximal elements.  The final status check
+    of P_sigma and keep the maximal elements.  A degenerate member of
+    P_sigma is no star's, so it is dropped first.  The final status check
     certifies near-maximality: no x in P, and so none of P_sigma, lies
     above two members of the star.
     """
@@ -703,7 +698,7 @@ def near_max_star(sigma, P, tangles=None):
         for s in sigma:
             if not is_good(s, tangles)[0]:
                 raise HypothesisFailure("sigma member %r is not good" % (s,))
-    part = profile_nested_part(P, sigma)
+    part = [x for x in profile_nested_part(P, sigma) if not x.is_degenerate]
     T = P.system.table()
     R = _maximal(T, part)
     for r in R:
@@ -725,22 +720,11 @@ def near_max_star(sigma, P, tangles=None):
     return sp
 
 
-def _profile_stars(P):
-    """An iterator over the stars of proper members of P, as bitsets over
-    its system's table; TooLarge at once when P has more than STAR_CAP
-    proper members."""
-    T = P.system.table()
-    props = P.bits & T.proper
-    if props.bit_count() > STAR_CAP:
-        raise TooLarge("%d proper members exceed the enumeration cap %d"
-                       % (props.bit_count(), STAR_CAP))
-    return T.stars(props)
-
-
 def maximal_star_above(sigma, P):
     """A star in P maximal in the star order with sigma <= it, by enumeration."""
     T = P.system.table()
-    stars = sorted(_profile_stars(P), key=lambda st: (st.bit_count(), mask_bits(st)))
+    stars = sorted(T.stars(P.bits & T.proper),
+                   key=lambda st: (st.bit_count(), mask_bits(st)))
     cur = T.bits(sigma) & ~T.small
     while True:
         nxt = next((st for st in stars

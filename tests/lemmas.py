@@ -6,7 +6,7 @@ from tangletree.graphs import mask_bits, vertex_mask
 from tangletree.io import _dump, _header, _sep_out
 from tangletree.seps import nested
 from tangletree.tangles import Orientation, check_star, closely_related, star_leq
-from tangletree.universe import Universe, _profile_stars
+from tangletree.universe import Universe
 
 
 def star_status(sigma, tangles):
@@ -214,8 +214,9 @@ def n5_universe():
 
 def max_and_closely_related_report(P):
     """Whether some maximal star in P is closely related to P (recorded data)."""
-    members = P.system.table().members
-    stars = [frozenset(members[i] for i in mask_bits(st)) for st in _profile_stars(P)]
+    T = P.system.table()
+    stars = [frozenset(T.members[i] for i in mask_bits(st))
+             for st in T.stars(P.bits & T.proper)]
     for st in sorted(stars, key=lambda st: (-len(st), sorted(s.sort_key for s in st))):
         if any(star_leq(st, tau) and not star_leq(tau, st) for tau in stars):
             continue

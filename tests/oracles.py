@@ -9,7 +9,6 @@ from tangletree.seps import OrientedSeparation, SeparationSystem, separation
 from tangletree.tangles import (CoverFamily, Orientation, StarFamily,
                                 _backtrack_orientations, is_regular, is_star,
                                 same_separation)
-from tangletree.universe import _profile_stars
 
 
 def induced_edges(G, X):
@@ -338,7 +337,7 @@ def is_maximal_star(st, P):
     """(flag, witness): no star in P strictly greater in the star order."""
     T = P.system.table()
     st = T.bits(st)
-    for tau in _profile_stars(P):
+    for tau in T.stars(P.bits & T.proper):
         if T.star_leq(st, tau) and not T.star_leq(tau, st):
             return False, frozenset(T.members[i] for i in mask_bits(tau))
     return True, None

@@ -166,6 +166,35 @@ def test_abstract_subcommand(tmp_path):
     assert obj["format"] == "abstract-nested-set" and obj["members"]
 
 
+def test_abstract_on_a_chain_with_a_self_inverse_middle(tmp_path, capsys):
+    # z <= d <= o with z* = o and d* = d: a distributive universe whose
+    # degenerate d lies in the one tangle and is no star's member
+    names = ["z", "d", "o"]
+    obj = {"format": "universe", "elements": names,
+           "leq": [[x, y] for i, x in enumerate(names) for y in names[i + 1:]],
+           "inv": {"z": "o", "d": "d", "o": "z"},
+           "meet": [[x, y, names[min(i, j)]] for i, x in enumerate(names)
+                    for j, y in enumerate(names)],
+           "join": [[x, y, names[max(i, j)]] for i, x in enumerate(names)
+                    for j, y in enumerate(names)]}
+    p = tmp_path / "chain.json"
+    p.write_text(json.dumps(obj))
+    assert cli.run(["abstract", "--universe", str(p), "--out", str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().out == "abstract: 1 tangles, 0 separations\n"
+
+
+@pytest.mark.parametrize("seed,ground,generators,size", [(0, 7, 4, 64), (1, 9, 5, 128)])
+def test_abstract_refines_universes_above_32_elements(tmp_path, seed, ground,
+                                                      generators, size):
+    u = random_distributive_universe(seed, ground=ground, generators=generators,
+                                     max_elements=size)
+    p = tmp_path / "u.json"
+    save_universe(u, p)
+    out = tmp_path / "run"
+    assert cli.run(["abstract", "--universe", str(p), "--out", str(out)]) == 0
+    assert _read(out / "refined.json")["members"]
+
+
 def _universe_file(tmp_path, edit):
     """A saved random_distributive_universe(4) after `edit` changed its JSON."""
     p = tmp_path / "u.json"

@@ -55,7 +55,7 @@ def _base_system():
     cliques = [range(4), range(6, 10), range(12, 16),
                [0, 4], [4, 6], [1, 5], [5, 7], [2, 10], [10, 12], [3, 11], [11, 13]]
     S = CliqueCover(satellite_cliques(4, 2), cliques, 3).base_system()
-    assert S.k is None and S._bound is None
+    assert S.k is None
     return S
 
 
@@ -92,8 +92,8 @@ def test_join_and_meet_kernels_match_find(build):
     members = T.members
     for i, r in enumerate(members):
         for j, s in enumerate(members):
-            assert T.join(i, j) == T.find(r.join(s))
-            assert T.meet(i, j) == T.find(r.meet(s))
+            assert T.join(i, j) == T.index.get(r.join(s))
+            assert T.meet(i, j) == T.index.get(r.meet(s))
 
 
 def test_profiles_and_their_family_make_no_element_join(monkeypatch):

@@ -2,10 +2,12 @@
 
 import ast
 import pathlib
+import re
 
 import tangletree
 
 SRC = pathlib.Path(tangletree.__file__).parent
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_no_assert_statements():
@@ -106,3 +108,33 @@ def test_every_error_is_raised_in_src():
     errors = ast.parse((SRC / "errors.py").read_text())
     defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
     assert sorted(defined - named - {"TangletreeError"}) == []
+
+
+def _caps_table():
+    """The `module.NAME` entries of README's table of budgets and caps."""
+    lines = README.read_text().splitlines()
+    start = lines.index("| limit | where | exceeding it raises | exit |")
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append(line)
+    return {name for row in rows for name in re.findall(r"`(\w+\.\w+)`", row)}
+
+
+def test_caps_table_matches_the_constants():
+    # a limit the table names must exist, and every limit constant must be
+    # named there; the cli's EXIT_* constants are exit codes, not limits
+    table = _caps_table()
+    assert table
+    constants = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        constants.add("%s.%s" % (path.stem, target.id))
+    assert sorted(table - constants) == []
+    limits = {c for c in constants
+              if re.fullmatch(r"\w+\.(MAX_\w+|(?!EXIT_)\w+_CAP|\w+_BUDGET)", c)}
+    assert sorted(limits - table) == []

@@ -404,16 +404,12 @@ def test_near_max_star_above_sigma():
 
 
 def test_maximal_star_enumeration_agrees():
-    from tangletree.errors import TooLarge
     checked = 0
     for seed in range(6):
         u, S, ts = _profiles_with_crossings(seed)
         for P in ts:
             sp = near_max_star(frozenset(), P)
-            try:
-                spp = maximal_star_above(sp, P)
-            except TooLarge:
-                continue
+            spp = maximal_star_above(sp, P)
             ok, wit = is_maximal_star(spp, P)
             assert ok, wit
             assert star_leq([s for s in sp if not s.is_small], spp)
